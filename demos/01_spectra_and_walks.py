@@ -31,16 +31,16 @@ print(to_text(h))
 
 # The adjacency matrix counts, for each vertex pair, how many edges
 # contain both vertices.  Vertices 0 and 1 sit in both edges here.
-a = adjacency(h)
 print("adjacency matrix:")
-print(np.array(a.entries, dtype=int))
+print(adjacency(h))
 
-# All spectrum statistics come from one deterministic eigendecomposition.
+# All spectrum statistics come from one eigenvalue solve; moments are
+# exact traces of powers of the integer adjacency matrix.
 spectrum = spectrum_of(h)
 print("\neigenvalues (descending):", np.round(spectrum.eigenvalues, 6))
 print("estrada index:", round(estrada_index(spectrum), 6))
 print("energy:", round(energy(spectrum), 6))
-print("second moment (= squared Frobenius norm):", round(spectral_moment(spectrum, 2), 6))
+print("second moment (= squared Frobenius norm):", spectral_moment(spectrum, 2))
 print("distinct eigenvalues:", [(round(v, 6), m) for v, m in distinct_eigenvalues(spectrum)])
 
 # Walk counts use exact integer matrix powers, so they stay correct at

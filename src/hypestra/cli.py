@@ -17,8 +17,6 @@ from . import families as fam
 from . import theorems as th
 from .hypercore import Hypergraph, HypergraphError, read_file, to_json, to_text, write_file
 from .spectral import (
-    ConvergenceError,
-    closed_walk_counts,
     estrada_index,
     format_float,
     spectrum_of,
@@ -26,7 +24,7 @@ from .spectral import (
     summary_to_dict,
 )
 
-_INPUT_ERRORS = (HypergraphError, fam.FamilyGrammarError, OverflowError, ConvergenceError, OSError, ValueError)
+_INPUT_ERRORS = (HypergraphError, fam.FamilyGrammarError, OverflowError, OSError, ValueError)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -56,12 +54,12 @@ def cmd_spectrum(args) -> int:
     if args.format == "csv":
         _emit(spectrum_to_csv(spectrum), args.out)
         return 0
-    summary = summary_to_dict(spectrum)
+    summary = summary_to_dict(spectrum, walk_max=args.smax)
+    # the output lists "m" ahead of the walk table
+    walks = summary.pop("closed_walks", None)
     summary["m"] = h.m
-    if args.smax:
-        summary["closed_walks"] = {
-            str(u): closed_walk_counts(h, u, args.smax) for u in range(h.n)
-        }
+    if walks is not None:
+        summary["closed_walks"] = walks
     if args.format == "json":
         _emit(json.dumps(summary, indent=2) + "\n", args.out)
         return 0
@@ -71,7 +69,7 @@ def cmd_spectrum(args) -> int:
         lines.append(f"{key} {format_float(summary[key])}")
     lines.append(f"negative_count {summary['negative_count']}")
     lines.append(f"distinct_count {summary['distinct_count']}")
-    lines += [f"moment {t} {format_float(v)}" for t, v in enumerate(summary["moments"])]
+    lines += [f"moment {t} {v}" for t, v in enumerate(summary["moments"])]
     if args.smax:
         for u in range(h.n):
             counts = " ".join(map(str, summary["closed_walks"][str(u)]))
@@ -253,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nover", type=int, default=4, help="order divided by k-1 (extremal suite)")
     p.add_argument("--budget", type=int, default=14,
                    help="vertex budget (orderings) or instance count (bounds)")
-    p.add_argument("--smax", type=int, default=8, help="walk length cap for dominance data")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--variant", choices=th.VARIANTS, default=th.AS_WRITTEN)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -1,16 +1,17 @@
-"""Adjacency matrices, eigendecomposition and spectrum-derived statistics.
+"""Adjacency matrices, eigenvalues and spectrum-derived statistics.
 
-The eigensolver is a cyclic Jacobi iteration: deterministic, accurate to
-solver precision for the small dense symmetric matrices this library
-works with (a few hundred rows at most).  Walk counting never touches
-floating point; powers of the adjacency matrix are taken over Python's
-unbounded integers so counts are exact at any size.
+The adjacency matrix is built once, as a read-only int64 array.  Its
+float view goes to LAPACK's symmetric eigenvalue driver
+(``numpy.linalg.eigvalsh``).  Its integer entries feed the exact paths:
+walk counts and spectral moments are entries and traces of its powers,
+taken over Python's unbounded integers, so counts are exact at any size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -26,54 +27,19 @@ EQUAL = "equal"
 INCOMPARABLE = "incomparable"
 
 
-class ConvergenceError(RuntimeError):
-    """Jacobi sweep cap reached before the off-diagonal mass vanished."""
-
-
-class DenseSymmetricMatrix:
-    """A real symmetric matrix with cached extreme entries.
-
-    ``entries`` is an exactly symmetric float array; symmetry is checked
-    at construction.  ``entry_min`` / ``entry_max`` are the smallest and
-    largest entries anywhere in the matrix (diagonal included).
-    """
-
-    __slots__ = ("order", "entries", "entry_min", "entry_max")
-
-    def __init__(self, entries):
-        a = np.array(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        if not np.array_equal(a, a.T):
-            raise ValueError("matrix is not exactly symmetric")
-        a.flags.writeable = False
-        object.__setattr__(self, "order", a.shape[0])
-        object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "entry_min", float(a.min()) if a.size else 0.0)
-        object.__setattr__(self, "entry_max", float(a.max()) if a.size else 0.0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DenseSymmetricMatrix is immutable")
-
-    @property
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
-    def __repr__(self) -> str:
-        return f"DenseSymmetricMatrix(order={self.order})"
-
-
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted descending, with the classification tolerance.
+    """Eigenvalues sorted descending, the matrix they came from, and the
+    classification tolerance.
 
+    ``matrix`` is the read-only source matrix; when it is an integer
+    matrix, spectral moments are its exact power traces.
     ``zero_tolerance`` separates numerically-zero eigenvalues from signed
     ones; it scales with the Frobenius norm of the source matrix.
     """
 
     eigenvalues: np.ndarray
+    matrix: np.ndarray
     zero_tolerance: float
     frobenius_norm: float
 
@@ -88,118 +54,73 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """The headline spectrum statistics in one bundle."""
+    """The headline spectrum statistics in one bundle; moments are exact
+    integers for an integer source matrix.  ``closed_walks[u]`` holds the
+    closed walk counts at vertex u for lengths 1, 2, ... when requested."""
 
     lambda1: float
     estrada: float
     energy: float
     negative_count: int
     distinct_count: int
-    moments: tuple[float, ...]
+    moments: tuple[int | float, ...]
+    closed_walks: tuple[tuple[int, ...], ...] = ()
 
 
-def adjacency(h: Hypergraph) -> DenseSymmetricMatrix:
-    """Pair-multiplicity adjacency matrix: entry (i, j) counts the edges
-    containing both i and j; the diagonal is zero."""
-    a = np.zeros((h.n, h.n), dtype=float)
+def adjacency(h: Hypergraph) -> np.ndarray:
+    """Pair-multiplicity adjacency matrix as a read-only int64 array:
+    entry (i, j) counts the edges containing both i and j; the diagonal
+    is zero.
+
+    Pairs are counted one position pair at a time, so memory stays
+    O(n^2 + m*k) however many edges there are.
+    """
+    n = h.n
+    counts = np.zeros(n * n, dtype=np.int64)
+    by_size: dict[int, list] = {}
     for e in h.edges:
-        for x in range(len(e)):
-            for y in range(x + 1, len(e)):
-                a[e[x], e[y]] += 1.0
-                a[e[y], e[x]] += 1.0
-    return DenseSymmetricMatrix(a)
-
-
-def adjacency_int(h: Hypergraph) -> np.ndarray:
-    """Adjacency matrix over Python integers (object dtype), for exact powers."""
-    a = np.zeros((h.n, h.n), dtype=object)  # object zeros are Python ints
-    for e in h.edges:
-        for x in range(len(e)):
-            for y in range(x + 1, len(e)):
-                a[e[x], e[y]] += 1
-                a[e[y], e[x]] += 1
+        by_size.setdefault(len(e), []).append(e)
+    for size, edges in by_size.items():
+        e = np.array(edges, dtype=np.int64)
+        # edges are increasing tuples, so x < y lands above the diagonal
+        for x, y in combinations(range(size), 2):
+            counts += np.bincount(e[:, x] * n + e[:, y], minlength=n * n)
+    upper = counts.reshape(n, n)
+    a = upper + upper.T
+    a.flags.writeable = False
     return a
 
 
-def jacobi_eigh(
-    matrix,
-    *,
-    tol_factor: float = 1e-14,
-    max_sweeps: int = 100,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
+def as_symmetric(matrix) -> np.ndarray:
+    """Validate a square, finite, exactly symmetric real matrix and return
+    it as a read-only array: int64 for integer input, float otherwise.
 
-    Returns ``(values, vectors)`` with values sorted descending and
-    ``matrix == vectors @ diag(values) @ vectors.T`` up to solver
-    precision.  Sweeps rotate every (p, q) plane in a fixed order, so the
-    result is bit-reproducible for identical input.  Convergence is
-    declared when the off-diagonal Frobenius norm drops below
-    ``tol_factor * max(1, ||matrix||_F)``; a ConvergenceError after
-    ``max_sweeps`` sweeps indicates pathological input.
+    The symmetric eigenvalue driver reads one triangle only and would
+    return wrong values for an asymmetric matrix without raising, so every
+    public function that takes an arbitrary matrix checks it here.
     """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
+    a = np.asarray(matrix)
+    a = a.astype(np.int64 if a.dtype.kind in "iub" else float, copy=False)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    q = np.eye(n)
-    if n < 2:
-        return a.diagonal().copy(), q
-    threshold = tol_factor * max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
-        off_entries = a.copy()
-        np.fill_diagonal(off_entries, 0.0)
-        if float(np.linalg.norm(off_entries)) <= threshold:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apq = a[p, r]
-                if apq == 0.0:
-                    continue
-                app = a[p, p]
-                aqq = a[r, r]
-                diff = aqq - app
-                if abs(diff) + 100.0 * abs(apq) == abs(diff):
-                    # rotation angle below roundoff of the diagonal gap
-                    t = apq / diff
-                else:
-                    tau = diff / (2.0 * apq)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # two-sided rotation in the (p, r) plane
-                col_p = a[:, p].copy()
-                col_r = a[:, r].copy()
-                a[:, p] = c * col_p - s * col_r
-                a[:, r] = s * col_p + c * col_r
-                row_p = a[p, :].copy()
-                row_r = a[r, :].copy()
-                a[p, :] = c * row_p - s * row_r
-                a[r, :] = s * row_p + c * row_r
-                tapq = t * apq
-                a[p, p] = app - tapq
-                a[r, r] = aqq + tapq
-                a[p, r] = 0.0
-                a[r, p] = 0.0
-                q_p = q[:, p].copy()
-                q_r = q[:, r].copy()
-                q[:, p] = c * q_p - s * q_r
-                q[:, r] = s * q_p + c * q_r
-    else:
-        raise ConvergenceError(f"no convergence after {max_sweeps} sweeps")
-    values = a.diagonal().copy()
-    order = np.argsort(-values, kind="stable")
-    return values[order], q[:, order]
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    if not np.array_equal(a, a.T):
+        raise ValueError("matrix is not exactly symmetric")
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
 
 
-def eigendecompose(matrix: DenseSymmetricMatrix) -> Spectrum:
-    """Spectrum of a symmetric matrix, eigenvalues descending."""
-    values, _ = jacobi_eigh(matrix.entries)
-    fro = matrix.frobenius_norm
+def eigendecompose(matrix) -> Spectrum:
+    """Spectrum of a real symmetric matrix, eigenvalues descending."""
+    a = as_symmetric(matrix)
+    values = np.linalg.eigvalsh(a.astype(float))[::-1].copy()
+    fro = float(np.linalg.norm(a))
     return Spectrum(
         eigenvalues=values,
+        matrix=a,
         zero_tolerance=1e-9 * max(1.0, fro),
         frobenius_norm=fro,
     )
@@ -210,11 +131,30 @@ def spectrum_of(h: Hypergraph) -> Spectrum:
     return eigendecompose(adjacency(h))
 
 
-def spectral_moment(spectrum: Spectrum, t: int) -> float:
-    """t-th spectral moment: sum of eigenvalues raised to the t-th power."""
+def _moments(
+    spectrum: Spectrum, t_max: int, walk_max: int = 0
+) -> tuple[list[int | float], list[list[int]]]:
+    """Moments 0..t_max, and each vertex's closed walk counts for lengths
+    1..walk_max.  For an integer source matrix both come from one exact
+    power pass; otherwise moments are sums of eigenvalue powers."""
+    if walk_max < 0:
+        raise ValueError(f"s_max must be >= 1, got {walk_max}")
+    if spectrum.matrix.dtype.kind != "i":
+        if walk_max:
+            raise ValueError("closed walk counts need an integer matrix")
+        return [float(np.sum(spectrum.eigenvalues**t)) for t in range(t_max + 1)], []
+    diagonals = _walk_diagonals(spectrum.matrix, max(t_max, walk_max))
+    moments = [spectrum.n] + [sum(d) for d in diagonals[:t_max]]
+    return moments, _by_vertex(diagonals[:walk_max])
+
+
+def spectral_moment(spectrum: Spectrum, t: int) -> int | float:
+    """t-th spectral moment: the sum of eigenvalues raised to the t-th
+    power, which is tr(M^t).  Exact (a Python int) when the source matrix
+    is an integer matrix."""
     if t < 0:
         raise ValueError(f"moment order must be >= 0, got {t}")
-    return float(np.sum(spectrum.eigenvalues**t))
+    return _moments(spectrum, t)[0][t]
 
 
 def estrada_index(spectrum: Spectrum) -> float:
@@ -263,42 +203,52 @@ def distinct_eigenvalues(spectrum: Spectrum) -> list[tuple[float, int]]:
     return out
 
 
-def summarize(spectrum: Spectrum, max_moment: int = 8) -> SpectralSummary:
-    """Headline statistics plus moments 0..max_moment."""
+def summarize(spectrum: Spectrum, max_moment: int = 8, walk_max: int = 0) -> SpectralSummary:
+    """Headline statistics plus moments 0..max_moment and, for a positive
+    walk_max, closed walk counts at every vertex for lengths 1..walk_max."""
+    moments, walks = _moments(spectrum, max_moment, walk_max)
     return SpectralSummary(
         lambda1=spectrum.lambda1,
         estrada=estrada_index(spectrum),
         energy=energy(spectrum),
         negative_count=negative_count(spectrum),
         distinct_count=len(distinct_eigenvalues(spectrum)),
-        moments=tuple(spectral_moment(spectrum, t) for t in range(max_moment + 1)),
+        moments=tuple(moments),
+        closed_walks=tuple(map(tuple, walks)),
     )
 
 
 # --- exact integer walk machinery ------------------------------------------
 
 
-def _int_matrix_power(a: np.ndarray, s: int) -> np.ndarray:
-    """a**s by binary exponentiation over Python integers."""
-    n = a.shape[0]
-    result = np.zeros((n, n), dtype=object)
-    np.fill_diagonal(result, 1)
-    base = a
-    while s:
-        if s & 1:
-            result = result @ base
-        s >>= 1
+def _exact(matrix) -> np.ndarray:
+    """Object-dtype copy of an integer matrix: its entries are Python
+    integers, so products of any size are exact."""
+    return np.asarray(matrix).astype(object)
+
+
+def _walk_diagonals(matrix, s_max: int) -> list[list[int]]:
+    """Diagonals of M^1, ..., M^s_max of an integer matrix from one exact
+    power pass."""
+    a = _exact(matrix)
+    power, diagonals = a, []
+    for s in range(s_max):
         if s:
-            base = base @ base
-    return result
+            power = power @ a
+        diagonals.append(power.diagonal().tolist())
+    return diagonals
+
+
+def _by_vertex(diagonals: list[list[int]]) -> list[list[int]]:
+    return [list(row) for row in zip(*diagonals)]
 
 
 def trace_power(matrix, t: int) -> int:
-    """Exact trace of the t-th power of an integer matrix."""
+    """Exact trace of the t-th power of an integer matrix (O(log t)
+    products by binary exponentiation)."""
     if t < 0:
         raise ValueError(f"power must be >= 0, got {t}")
-    a = np.array(matrix, dtype=object)
-    return int(np.trace(_int_matrix_power(a, t)))
+    return int(sum(np.linalg.matrix_power(_exact(matrix), t).diagonal().tolist()))
 
 
 def walk_count(h: Hypergraph, u: int, v: int, s: int) -> int:
@@ -306,28 +256,28 @@ def walk_count(h: Hypergraph, u: int, v: int, s: int) -> int:
 
     Consecutive walk vertices are distinct, and each step may use any
     edge containing both endpoints, so the count is the (u, v) entry of
-    the s-th power of the adjacency matrix.  Arithmetic is exact.
+    the s-th power of the adjacency matrix.  Arithmetic is exact, and
+    the power takes O(log s) products by binary exponentiation.
     """
     if s < 0:
         raise ValueError(f"walk length must be >= 0, got {s}")
     for x in (u, v):
         if not 0 <= x < h.n:
             raise ValueError(f"vertex {x} outside 0..{h.n - 1}")
-    power = _int_matrix_power(adjacency_int(h), s)
-    return int(power[u, v])
+    return int(np.linalg.matrix_power(_exact(adjacency(h)), s)[u, v])
+
+
+def closed_walk_table(h: Hypergraph, s_max: int) -> list[list[int]]:
+    """Closed walk counts at every vertex for every length 1..s_max, from
+    one exact power pass: row u holds the counts at vertex u."""
+    if s_max < 1:
+        raise ValueError(f"s_max must be >= 1, got {s_max}")
+    return _by_vertex(_walk_diagonals(adjacency(h), s_max))
 
 
 def closed_walk_counts(h: Hypergraph, u: int, s_max: int) -> list[int]:
     """Closed walk counts at u for every length 1..s_max (exact)."""
-    if s_max < 1:
-        raise ValueError(f"s_max must be >= 1, got {s_max}")
-    a = adjacency_int(h)
-    out = []
-    power = a
-    for _ in range(s_max):
-        out.append(int(power[u, u]))
-        power = power @ a
-    return out
+    return closed_walk_table(h, s_max)[u]
 
 
 def walk_dominance(h: Hypergraph, u: int, v: int, s_max: int) -> str:
@@ -340,20 +290,9 @@ def walk_dominance(h: Hypergraph, u: int, v: int, s_max: int) -> str:
     (v's never exceed u's).  A finite certificate: ``strict`` at one
     s_max cannot be revoked by larger s_max, while ``equal`` may refine.
     """
-    if s_max < 1:
-        raise ValueError(f"s_max must be >= 1, got {s_max}")
-    a = adjacency_int(h)
-    u_below = False
-    u_above = False
-    power = a
-    for _ in range(s_max):
-        mu = power[u, u]
-        mv = power[v, v]
-        if mu < mv:
-            u_below = True
-        elif mu > mv:
-            u_above = True
-        power = power @ a
+    table = closed_walk_table(h, s_max)
+    u_below = any(a < b for a, b in zip(table[u], table[v]))
+    u_above = any(a > b for a, b in zip(table[u], table[v]))
     if u_below and u_above:
         return INCOMPARABLE
     if u_below:
@@ -367,10 +306,15 @@ def walk_dominance(h: Hypergraph, u: int, v: int, s_max: int) -> str:
 
 
 def format_float(x: float) -> str:
-    """Render with 12 significant digits, locale independent."""
-    if x == int(x) and abs(x) < 1e15:
+    """Render with 12 significant digits, locale independent.
+
+    The integer test runs on the value rounded to those 12 digits, so a
+    float one ulp off an integer prints as that integer.
+    """
+    rounded = float(f"{x:.12g}")
+    if rounded.is_integer() and abs(rounded) < 1e15:
         return np.format_float_positional(
-            x, precision=12, unique=False, fractional=False, trim="-"
+            rounded, precision=12, unique=False, fractional=False, trim="-"
         )
     return np.format_float_positional(x, precision=12, unique=False, fractional=False)
 
@@ -390,20 +334,25 @@ def spectrum_to_csv(spectrum: Spectrum) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_to_dict(spectrum: Spectrum, max_moment: int = 8) -> dict:
-    """JSON-ready summary object (lambda1, estrada, energy, counts, moments)."""
-    s = summarize(spectrum, max_moment)
+def summary_to_dict(spectrum: Spectrum, max_moment: int = 8, walk_max: int = 0) -> dict:
+    """JSON-ready summary object (lambda1, estrada, energy, counts, moments,
+    and a ``closed_walks`` table keyed by vertex for a positive walk_max);
+    exact integer moments stay integers."""
+    s = summarize(spectrum, max_moment, walk_max)
 
     def rounded(x: float) -> float:
         return float(f"{x:.12g}")
 
-    return {
+    out = {
         "n": spectrum.n,
         "lambda1": rounded(s.lambda1),
         "estrada": rounded(s.estrada),
         "energy": rounded(s.energy),
         "negative_count": s.negative_count,
         "distinct_count": s.distinct_count,
-        "moments": [rounded(mt) for mt in s.moments],
+        "moments": [mt if isinstance(mt, int) else rounded(mt) for mt in s.moments],
         "eigenvalues": [rounded(v) for v in _snapped_eigenvalues(spectrum)],
     }
+    if walk_max:
+        out["closed_walks"] = {str(u): list(c) for u, c in enumerate(s.closed_walks)}
+    return out

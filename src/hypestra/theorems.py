@@ -28,10 +28,8 @@ from .hypercore import (
     uniformity,
 )
 from .spectral import (
-    DenseSymmetricMatrix,
     Spectrum,
-    adjacency,
-    adjacency_int,
+    as_symmetric,
     distinct_eigenvalues,
     eigendecompose,
     energy,
@@ -135,27 +133,30 @@ def _sum_largest_core(theta: int, t: int, variant: str) -> float:
 
 
 def check_sum_t_largest_matrix(
-    matrix: DenseSymmetricMatrix,
+    matrix,
     t: int,
     variant: str = AS_WRITTEN,
     spectrum: Spectrum | None = None,
 ) -> BoundReport:
     """Sum of the t largest eigenvalues of a symmetric matrix against the
-    entry-range bound n*(core(theta,t)*(b-a) + max(0,a)).
+    entry-range bound n*(core(theta,t)*(b-a) + max(0,a)).  The matrix is
+    checked to be square, finite and exactly symmetric, also when a
+    spectrum is passed in.
 
     ``variant`` selects the denominator in core: ``as-written`` uses
     2*theta + 1, ``theta-plus-one`` the slightly stronger 2*(theta + 1).
     The report's extra block carries both right-hand sides, which one is
     tighter, and the per-n (tau) forms of both sides.
     """
-    n = matrix.order
+    matrix = as_symmetric(matrix)
+    n = matrix.shape[0]
     if not 2 <= t <= n:
         raise ValueError(f"need 2 <= t <= n, got t={t}, n={n}")
     if spectrum is None:
         spectrum = eigendecompose(matrix)
     theta = negative_count(spectrum)
-    a = matrix.entry_min
-    b = matrix.entry_max
+    a = float(matrix.min())
+    b = float(matrix.max())
     lhs = float(np.sum(spectrum.eigenvalues[:t]))
     rhs_by_variant = {
         v: n * (_sum_largest_core(theta, t, v) * (b - a) + max(0.0, a))
@@ -236,9 +237,9 @@ def check_moment2_bounds(
     k: int | None = None,
     spectrum: Spectrum | None = None,
 ) -> tuple[BoundReport, BoundReport]:
-    """Second spectral moment squeezed between k(k-1)m and
-    (k-1)m(m(k-2)+2); one report per side so equality flags stay
-    independent."""
+    """Second spectral moment, the exact trace of A^2, squeezed between
+    k(k-1)m and (k-1)m(m(k-2)+2); one report per side so equality flags
+    stay independent."""
     k = _resolve_k(h, k)
     if spectrum is None:
         spectrum = spectrum_of(h)
@@ -382,10 +383,10 @@ def classify_two_eigenvalue(
     k = _resolve_k(h, k)
     spectrum = spectrum_of(h)
     clusters = distinct_eigenvalues(spectrum)
-    a_int = adjacency_int(h)
     n = h.n
-    off = [a_int[i, j] for i in range(n) for j in range(n) if i != j]
-    flat_beta = off[0] if off and all(x == off[0] for x in off) and off[0] >= 1 else None
+    off = spectrum.matrix[~np.eye(n, dtype=bool)]
+    flat = off.size and off.min() == off.max() >= 1
+    flat_beta = int(off[0]) if flat else None
     cert = fam.bibd_validate(h) if (k is not None and n > k) else None
     if len(clusters) != 2:
         if flat_beta is not None and n >= 2:
@@ -402,7 +403,7 @@ def classify_two_eigenvalue(
             "two distinct eigenvalues but the adjacency matrix is not beta*(J - I); "
             "the equivalence assumes a connected hypergraph"
         )
-    beta = int(flat_beta)
+    beta = flat_beta
     tol = spectrum.zero_tolerance
     (v1, m1), (v2, m2) = clusters
     if not (
@@ -462,7 +463,7 @@ def check_all_bounds(
     k = _resolve_k(h, k)
     spectrum = spectrum_of(h)
     reports = [
-        check_sum_t_largest_matrix(adjacency(h), t, variant, spectrum=spectrum),
+        check_sum_t_largest_matrix(spectrum.matrix, t, variant, spectrum=spectrum),
         check_sum_t_largest_hypergraph(h, t, k, variant, spectrum=spectrum),
         *check_moment2_bounds(h, k, spectrum=spectrum),
         check_ee_lower_spectral(h, spectrum=spectrum),
@@ -732,16 +733,21 @@ def verify_extremal(n_over: int, k: int) -> ExtremalReport:
     if k < 3:
         raise HypergraphError(f"extremal ranking needs k >= 3, got {k}")
     catalog = fam.unicyclic_catalog(n_over, k)
-    scored = sorted(
+    by_value = sorted(
         ((entry.label, _ee(entry.hypergraph), entry.hypergraph) for entry in catalog),
-        key=lambda item: (-item[1], item[0]),
+        key=lambda item: -item[1],
     )
+    # ties within tolerance (isomorphic entries differ in the last bits)
+    # share their group's leading value and rank by label, so neither the
+    # order nor the reported values depend on solver noise
     groups: list[list[tuple[str, float, Hypergraph]]] = []
-    for item in scored:
-        if groups and groups[-1][0][1] - item[1] <= 1e-9 * max(1.0, abs(item[1])):
-            groups[-1].append(item)
+    for label, ee, hg in by_value:
+        if groups and groups[-1][0][1] - ee <= 1e-9 * max(1.0, abs(ee)):
+            groups[-1].append((label, groups[-1][0][1], hg))
         else:
-            groups.append([item])
+            groups.append([(label, ee, hg)])
+    groups = [sorted(group, key=lambda item: item[0]) for group in groups]
+    scored = [item for group in groups for item in group]
     expected_max_label = _cm_label(k, (n_over - 2, 0))
     if n_over >= 4:
         expected_second_label = _cm_label(k, (n_over - 3, 1))

@@ -18,7 +18,6 @@ import pytest
 from hypestra import (
     Hypergraph,
     adjacency,
-    adjacency_int,
     bibd_validate,
     check_ee_lower_edges,
     check_ee_lower_spectral,
@@ -32,9 +31,9 @@ from hypestra import (
     complete_uniform,
     cycle,
     distinct_eigenvalues,
+    eigendecompose,
     estrada_index,
     fano_plane,
-    jacobi_eigh,
     random_uniform,
     spectrum_of,
     trace_power,
@@ -45,7 +44,7 @@ from hypestra import (
 from hypestra.theorems import AS_WRITTEN, THETA_PLUS_ONE
 
 from conftest import family_fixtures
-from oracles import charpoly, charpoly_eval, dfs_walk_count, estrada_series
+from oracles import charpoly, charpoly_eval, dfs_walk_count, estrada_series, jacobi_eigh
 
 GOLDEN = 1 + math.sqrt(5)
 
@@ -77,15 +76,22 @@ def test_criterion_1_eigensolver_soundness():
             n = int(rng.integers(2, 21))
             raw = rng.integers(0, 4, size=(n, n))
             matrices.append((np.triu(raw) + np.triu(raw, 1).T).astype(float))
-        matrices += [adjacency(h).entries for _, h, _ in family_fixtures()]
+        matrices += [adjacency(h).astype(float) for _, h, _ in family_fixtures()]
         for m in matrices:
             fro = float(np.linalg.norm(m))
+            trace = float(np.trace(m))
+            # the oracle Jacobi solver: residual, trace and Frobenius
             values, vectors = jacobi_eigh(m)
             residual = np.linalg.norm(m - vectors @ np.diag(values) @ vectors.T)
             assert residual <= 1e-10 * max(1.0, fro)
-            trace = float(np.trace(m))
             assert abs(values.sum() - trace) <= 1e-8 * max(1.0, abs(trace), fro)
             assert abs(np.sum(values**2) - fro**2) <= 1e-8 * max(1.0, fro**2)
+            # the shipping solver: the same identities, and agreement with
+            # the oracle eigenvalue by eigenvalue
+            shipped = eigendecompose(m).eigenvalues
+            assert abs(shipped.sum() - trace) <= 1e-8 * max(1.0, abs(trace), fro)
+            assert abs(np.sum(shipped**2) - fro**2) <= 1e-8 * max(1.0, fro**2)
+            assert np.max(np.abs(shipped - values)) <= 1e-10 * max(1.0, fro)
 
 
 def test_criterion_2_walk_oracle_equivalence(small_fixtures):
@@ -149,8 +155,8 @@ def test_criterion_4_two_eigenvalue_characterization():
             h = Hypergraph(5, edges)
             two_distinct = len(distinct_eigenvalues(spectrum_of(h))) == 2
             cert = bibd_validate(h)
-            a_int = adjacency_int(h)
-            off = [a_int[i, j] for i in range(5) for j in range(5) if i != j]
+            a = adjacency(h)
+            off = [a[i, j] for i in range(5) for j in range(5) if i != j]
             flat = all(x == off[0] for x in off) and off[0] >= 1
             classified = classify_two_eigenvalue(h, k=3)
             assert two_distinct == (cert is not None) == flat == (classified is not None)
@@ -228,7 +234,7 @@ def test_criterion_8_pinned_regressions():
 
         # certify the analytic two-ring spectrum with the exact
         # characteristic polynomial, then pin the solver output
-        coeffs = charpoly(adjacency_int(ring).tolist())
+        coeffs = charpoly(adjacency(ring).tolist())
         assert [float(c) for c in coeffs] == [1.0, 0.0, -8.0, -8.0, 0.0]
         expected = (GOLDEN, 0.0, 1 - math.sqrt(5), -2.0)
         for root in expected:
@@ -236,5 +242,5 @@ def test_criterion_8_pinned_regressions():
         values = spectrum_of(ring).eigenvalues
         assert np.max(np.abs(values - np.array(expected))) <= 1e-9
 
-        assert trace_power(adjacency_int(ring), 2) == 16
+        assert trace_power(adjacency(ring), 2) == 16
         assert float(np.sum(values**2)) == pytest.approx(16.0, abs=1e-8)

@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
-from hypestra import cli, from_text, to_text, unicyclic_cm
+from hypestra import closed_walk_counts, cli, from_text, to_text, unicyclic_cm
 from hypestra.theorems import BoundReport
+
+from conftest import family_fixtures
+from oracles import jacobi_eigh
 
 
 def run(capsys, *argv):
@@ -73,6 +77,29 @@ class TestSpectrum:
         code, out, _ = run(capsys, "spectrum", str(path), "--smax", "3")
         assert code == 0
         assert "closed_walks 0 0 6 8" in out
+
+    def test_walk_table_matches_per_vertex_counts(self, capsys, tmp_path):
+        for name, h, _ in family_fixtures():
+            path = tmp_path / f"{name}.txt"
+            path.write_text(to_text(h))
+            for smax in (6, 10):
+                argv = ("spectrum", str(path), "--smax", str(smax), "--format", "json")
+                code, out, _ = run(capsys, *argv)
+                assert code == 0, name
+                payload = json.loads(out)
+                assert list(payload)[-2:] == ["m", "closed_walks"], name
+                expected = {str(u): closed_walk_counts(h, u, smax) for u in range(h.n)}
+                assert payload["closed_walks"] == expected, (name, smax)
+                assert len(payload["moments"]) == 9, name
+
+    def test_exact_moments(self, capsys, tmp_path):
+        path = tmp_path / "c23.txt"
+        run(capsys, "gen", "cycle:2,3", "--out", str(path))
+        _, out, _ = run(capsys, "spectrum", str(path))
+        moments = [line for line in out.splitlines() if line.startswith("moment ")]
+        assert moments[:4] == ["moment 0 4", "moment 1 0", "moment 2 16", "moment 3 24"]
+        _, out, _ = run(capsys, "spectrum", str(path), "--format", "json")
+        assert json.loads(out)["moments"][:4] == [4, 0, 16, 24]
 
     def test_round_trip_matches_handwritten(self, capsys, tmp_path):
         generated = tmp_path / "gen.txt"
@@ -146,6 +173,36 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path), "--k", "3")
         assert code == 1
         assert "1 bound check(s) FAILED" in out
+
+
+def _oracle_eigvalsh(a):
+    """eigvalsh's contract (ascending eigenvalues) from the Jacobi oracle."""
+    return jacobi_eigh(a)[0][::-1]
+
+
+class TestSolverIndependence:
+    """Printed output must not depend on which solver produced the
+    eigenvalues: the shipping LAPACK driver and the Jacobi oracle agree to
+    roughly 1e-15, far below the 12 printed significant digits."""
+
+    def _outputs(self, capsys, tmp_path):
+        outputs = {}
+        for name, h, k in family_fixtures():
+            path = tmp_path / f"{name}.txt"
+            path.write_text(to_text(h))
+            outputs[name] = [
+                run(capsys, "spectrum", str(path)),
+                run(capsys, "spectrum", str(path), "--format", "csv"),
+                run(capsys, "check", str(path), "--k", str(k)),
+            ]
+        return outputs
+
+    def test_spectrum_and_check_output_byte_identical(self, capsys, tmp_path, monkeypatch):
+        shipped = self._outputs(capsys, tmp_path)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _oracle_eigvalsh)
+        oracle = self._outputs(capsys, tmp_path)
+        for name in shipped:
+            assert shipped[name] == oracle[name], name
 
 
 class TestComplement:
@@ -233,6 +290,11 @@ class TestParser:
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["spectrum"])  # missing input
+        assert exc.value.code == 2
+
+    def test_verify_has_no_smax(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "extremal", "--smax", "8"])
         assert exc.value.code == 2
 
     def test_unknown_command(self, capsys):

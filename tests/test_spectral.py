@@ -1,17 +1,16 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from hypestra import (
-    ConvergenceError,
-    DenseSymmetricMatrix,
     Hypergraph,
     add_edge,
     adjacency,
-    adjacency_int,
     closed_walk_counts,
+    closed_walk_table,
     complete_uniform,
     cycle,
     distinct_eigenvalues,
@@ -19,7 +18,6 @@ from hypestra import (
     eigendecompose,
     energy,
     estrada_index,
-    jacobi_eigh,
     negative_count,
     positive_count,
     random_uniform,
@@ -33,7 +31,14 @@ from hypestra import (
 )
 from hypestra.spectral import format_float, spectrum_to_csv, summary_to_dict
 
-from oracles import charpoly, charpoly_eval, dfs_walk_count, estrada_series
+from oracles import (
+    ConvergenceError,
+    charpoly,
+    charpoly_eval,
+    dfs_walk_count,
+    estrada_series,
+    jacobi_eigh,
+)
 
 GOLDEN = 1 + math.sqrt(5)
 
@@ -47,25 +52,45 @@ class TestAdjacency:
     def test_single_edge_pattern(self):
         a = adjacency(Hypergraph(3, [(0, 1, 2)]))
         expected = np.ones((3, 3)) - np.eye(3)
-        assert np.array_equal(a.entries, expected)
+        assert np.array_equal(a, expected)
 
     def test_two_ring_pattern(self):
         a = adjacency(cycle(2, 3)[0])
         expected = np.array(
             [[0, 2, 1, 1], [2, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]], dtype=float
         )
-        assert np.array_equal(a.entries, expected)
-        assert a.entry_min == 0.0
-        assert a.entry_max == 2.0
+        assert np.array_equal(a, expected)
+        assert a.min() == 0
+        assert a.max() == 2
 
     def test_complete_4_3_pattern(self):
         a = adjacency(complete_uniform(4, 3))
         expected = 2 * (np.ones((4, 4)) - np.eye(4))
-        assert np.array_equal(a.entries, expected)
+        assert np.array_equal(a, expected)
+
+    def test_mixed_edge_sizes(self):
+        a = adjacency(Hypergraph(5, [(0, 1), (0, 1, 2), (1, 2, 3, 4)]))
+        expected = np.zeros((5, 5), dtype=int)
+        for e in ((0, 1), (0, 1, 2), (1, 2, 3, 4)):
+            for x in e:
+                for y in e:
+                    expected[x, y] += x != y
+        assert np.array_equal(a, expected)
+
+    def test_read_only_int64(self):
+        a = adjacency(cycle(2, 3)[0])
+        assert a.dtype == np.int64
+        with pytest.raises(ValueError):
+            a[0, 1] = 5
+        assert adjacency(edgeless(0)).shape == (0, 0)
 
     def test_symmetry_required(self):
         with pytest.raises(ValueError, match="symmetric"):
-            DenseSymmetricMatrix([[0.0, 1.0], [2.0, 0.0]])
+            eigendecompose([[0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            eigendecompose([[0.0, math.inf], [math.inf, 0.0]])
+        with pytest.raises(ValueError, match="square"):
+            eigendecompose(np.zeros((2, 3)))
 
 
 class TestJacobi:
@@ -120,8 +145,7 @@ class TestKnownSpectra:
     def test_two_ring_charpoly(self):
         # exact characteristic polynomial x^4 - 8x^2 - 8x, checked by an
         # independent rational recurrence, certifies the analytic roots
-        a_int = adjacency_int(cycle(2, 3)[0]).tolist()
-        coeffs = charpoly(a_int)
+        coeffs = charpoly(adjacency(cycle(2, 3)[0]).tolist())
         assert [float(c) for c in coeffs] == [1.0, 0.0, -8.0, -8.0, 0.0]
         for root in (GOLDEN, 0.0, 1 - math.sqrt(5), -2.0):
             assert abs(charpoly_eval(coeffs, root)) < 1e-9
@@ -149,11 +173,17 @@ class TestSpectrumStatistics:
     def test_moments_match_exact_traces(self, small_fixtures):
         for name, h, _ in small_fixtures:
             spectrum = spectrum_of(h)
-            a_int = adjacency_int(h)
+            a = adjacency(h)
             for t in range(9):
-                exact = trace_power(a_int, t)
-                approx = spectral_moment(spectrum, t)
+                exact = trace_power(a, t)
+                assert spectral_moment(spectrum, t) == exact, (name, t)
+                approx = float(np.sum(spectrum.eigenvalues**t))
                 assert abs(approx - exact) <= 1e-8 * max(1.0, abs(exact)), (name, t)
+
+    def test_float_matrix_moments_from_eigenvalues(self):
+        spectrum = eigendecompose(np.diag([1.5, -0.5]))
+        assert spectral_moment(spectrum, 2) == pytest.approx(2.5)
+        assert summarize(spectrum, 3).moments == pytest.approx((2, 1, 2.5, 3.25))
 
     def test_estrada_examples(self):
         assert estrada_index(spectrum_of(edgeless(5))) == pytest.approx(5.0, abs=1e-12)
@@ -169,7 +199,7 @@ class TestSpectrumStatistics:
             assert via_eigenvalues == pytest.approx(via_series, rel=1e-10), name
 
     def test_estrada_overflow_guard(self):
-        spectrum = eigendecompose(DenseSymmetricMatrix(np.diag([800.0, 0.0])))
+        spectrum = eigendecompose(np.diag([800.0, 0.0]))
         with pytest.raises(OverflowError):
             estrada_index(spectrum)
 
@@ -265,6 +295,49 @@ class TestWalks:
         assert value > 10**50
         assert isinstance(value, int)
 
+    def test_exact_across_int64_limit(self):
+        # entries pass 2**63 at s = 15; the reference is a plain
+        # sequence of products over Python integers
+        h = complete_uniform(6, 3)
+        reference = adjacency(h).astype(object)
+        power = np.identity(6, dtype=object)
+        table = closed_walk_table(h, 24)
+        for s in range(1, 25):
+            power = power @ reference
+            assert walk_count(h, 0, 1, s) == power[0, 1], s
+            assert trace_power(adjacency(h), s) == np.trace(power), s
+            assert [row[s - 1] for row in table] == list(power.diagonal()), s
+
+    def test_single_powers_take_logarithmic_products(self):
+        # A is a 2x2 swap, so A^s stays 0/1; ten million sequential object
+        # products take over ten seconds, binary exponentiation takes ~50
+        s = 10**7 + 1
+        start = time.perf_counter()
+        assert walk_count(Hypergraph(2, [(0, 1)]), 0, 1, s) == 1
+        assert trace_power(np.array([[0, 1], [1, 0]]), s - 1) == 2
+        assert time.perf_counter() - start < 1.0
+
+    def test_summary_walks_share_the_moment_pass(self, small_fixtures):
+        for name, h, _ in small_fixtures:
+            spectrum = spectrum_of(h)
+            for walk_max in (3, 12):
+                s = summarize(spectrum, 8, walk_max)
+                table = closed_walk_table(h, walk_max)
+                assert [list(row) for row in s.closed_walks] == table, (name, walk_max)
+                assert s.moments == tuple(trace_power(adjacency(h), t) for t in range(9)), name
+            assert summarize(spectrum).closed_walks == (), name
+        with pytest.raises(ValueError):
+            summarize(spectrum_of(cycle(2, 3)[0]), 8, -1)
+        with pytest.raises(ValueError):
+            summarize(eigendecompose(np.diag([1.5, -0.5])), 2, 2)
+
+    def test_closed_walk_table_matches_dfs_oracle(self, small_fixtures):
+        for name, h, _ in small_fixtures:
+            table = closed_walk_table(h, 5)
+            assert len(table) == h.n, name
+            for u, row in enumerate(table):
+                assert row == [dfs_walk_count(h, u, u, s) for s in range(1, 6)], (name, u)
+
 
 class TestWalkDominance:
     def test_same_vertex_equal(self):
@@ -323,6 +396,11 @@ class TestExports:
         assert format_float(1 + math.sqrt(5)) == "3.23606797750"
         assert format_float(-2.0) == "-2"
         assert format_float(0.0) == "0"
+
+    def test_format_float_ignores_last_bit_noise(self):
+        assert format_float(np.nextafter(-2.0, 0)) == "-2"
+        assert format_float(1524.0000000000002) == "1524"
+        assert format_float(0.5 + 1e-15) == "0.500000000000"
 
     def test_csv_shape(self):
         text = spectrum_to_csv(spectrum_of(cycle(2, 3)[0]))

@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hypestra import (
@@ -36,7 +37,6 @@ from hypestra import (
     verify_extremal,
     verify_ordering_lemmas,
 )
-from hypestra.spectral import DenseSymmetricMatrix
 from hypestra.theorems import (
     bound_report_to_dict,
     bound_reports_to_csv,
@@ -53,7 +53,7 @@ def _ee(h):
 
 class TestSumLargestMatrix:
     def test_zero_matrix_equality(self):
-        report = check_sum_t_largest_matrix(DenseSymmetricMatrix([[0.0] * 4] * 4), 3)
+        report = check_sum_t_largest_matrix(np.zeros((4, 4)), 3)
         assert report.lhs == 0.0
         assert report.rhs == 0.0
         assert report.holds and report.equality
@@ -86,9 +86,18 @@ class TestSumLargestMatrix:
             check_sum_t_largest_matrix(adjacency(cycle(2, 3)[0]), 5)
 
     def test_negative_entry_matrix(self):
-        m = DenseSymmetricMatrix([[0.0, -1.0], [-1.0, 0.0]])
+        m = np.array([[0.0, -1.0], [-1.0, 0.0]])
         report = check_sum_t_largest_matrix(m, 2)
         assert report.holds  # lhs = 0, rhs = 2*(core*(0+1) + 0)
+
+    def test_asymmetric_matrix_rejected(self):
+        # checked even when a spectrum is supplied: the solver would read
+        # one triangle and never notice
+        spectrum = spectrum_of(cycle(2, 3)[0])
+        lopsided = np.array(adjacency(cycle(2, 3)[0]))
+        lopsided[0, 3] = 5
+        with pytest.raises(ValueError, match="symmetric"):
+            check_sum_t_largest_matrix(lopsided, 2, spectrum=spectrum)
 
 
 class TestSumLargestHypergraph:
@@ -390,6 +399,22 @@ class TestExtremal:
     def test_k4(self):
         report = verify_extremal(4, 4)
         assert report.passed
+
+    def test_ties_rank_by_label_whatever_the_noise(self, monkeypatch):
+        clean = verify_extremal(6, 3).ranking
+        values = [ee for _, ee in clean]
+        assert values == sorted(values, reverse=True)
+        for (label_a, ee_a), (label_b, ee_b) in zip(clean, clean[1:]):
+            if ee_a == ee_b:
+                assert label_a < label_b
+        # last-bit noise on every solve must not reorder tied entries
+        solve = np.linalg.eigvalsh
+        rng = random.Random(11)
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: solve(a) * (1 + rng.choice((-4e-16, 4e-16)))
+        )
+        noisy = verify_extremal(6, 3).ranking
+        assert [label for label, _ in noisy] == [label for label, _ in clean]
 
     def test_scope_note_present(self):
         report = verify_extremal(3, 3)
