@@ -2,12 +2,14 @@
 
 Exit codes: 0 when every requested check holds, 1 when a check fails,
 2 on input errors (bad grammar, malformed files, invalid parameters).
-Output is deterministic byte-for-byte for a fixed command line and seed.
+Output is deterministic byte-for-byte for a fixed command line and seed
+on the same machine and numpy/BLAS build.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -43,7 +45,7 @@ def _write_hypergraph(h: Hypergraph, out: str | None) -> None:
 
 
 def cmd_gen(args) -> int:
-    h = fam.build_family(fam.parse_family(args.family))
+    h = fam.build_family(args.family)
     _write_hypergraph(h, args.out)
     return 0
 
@@ -215,7 +217,9 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hypestra",
         description="k-uniform hypergraph spectra, Estrada index and bound checking",

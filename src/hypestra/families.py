@@ -292,21 +292,21 @@ def unicyclic_catalog(n_over: int, k: int) -> list[CatalogEntry]:
     min_m = 3 if k == 2 else 2
     for m in range(min_m, n_over + 1):
         for comp in compositions(n_over - m, m):
-            label = f"cm:{k}:" + ",".join(map(str, comp))
-            entries.append(CatalogEntry(label, unicyclic_cm(k, list(comp))[0]))
+            entries.append(CatalogEntry(cm_label(k, comp), unicyclic_cm(k, list(comp))[0]))
     if k > 2:
         for m in range(min_m, n_over + 1):
             slots = m * (k - 1)
             for comp in compositions(n_over - m, slots):
                 if not any(comp[m:]):
                     continue  # pure ring-vertex placements already emitted
-                label = f"cmx:{k}:{m}:" + ",".join(map(str, comp))
-                entries.append(CatalogEntry(label, _ring_with_slot_pendants(m, k, comp)))
+                entries.append(
+                    CatalogEntry(cm_label(k, comp, m), _ring_with_slot_pendants(m, k, comp))
+                )
     for m in range(min_m, n_over):
         for comp in compositions(n_over - m - 1, m):
             if not any(comp):
                 continue
-            base_label = f"cm:{k}:" + ",".join(map(str, comp))
+            base_label = cm_label(k, comp)
             h, labeling = unicyclic_cm(k, list(comp))
             for i in range(m):
                 if comp[i] == 0:
@@ -318,33 +318,28 @@ def unicyclic_catalog(n_over: int, k: int) -> list[CatalogEntry]:
     return entries
 
 
-# --- declarative family descriptions ----------------------------------------
-
-FAMILY_KINDS = (
-    "complete",
-    "edgeless",
-    "cycle",
-    "unicyclic_cm",
-    "x_n",
-    "hyperstar",
-    "path_p3",
-    "g_star_star",
-    "explicit",
-)
+# --- family grammar ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Declarative description of one generated family instance."""
+def cm_label(k: int, pendants: tuple[int, ...], ring: int | None = None) -> str:
+    """Catalog label of a ring with pendant counts: the grammar label
+    ``cm:k:n1,n2,...`` or, given the ring length, the report-only label
+    ``cmx:k:m:...`` whose counts run over ring vertices, then fillers."""
+    head = f"cm:{k}:" if ring is None else f"cmx:{k}:{ring}:"
+    return head + ",".join(map(str, pendants))
 
-    kind: str
-    k: int | None = None
-    counts: tuple[int, ...] = ()
-    name: str = ""
 
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise FamilyGrammarError(f"unknown family kind {self.kind!r}")
+#: label head -> (number of integer parameters, builder taking them in order)
+_FAMILIES = {
+    "complete": (2, complete_uniform),
+    "edgeless": (1, edgeless),
+    "cycle": (2, lambda m, k: cycle(m, k)[0]),
+    "xn": (2, lambda n, k: x_n(n, k)[0]),
+    "star": (2, hyperstar),
+    "p3": (1, lambda k: path_p3(k)[0]),
+    "gss": (1, g_star_star),
+    "fano": (0, fano_plane),
+}
 
 
 def _ints(text: str, where: str) -> tuple[int, ...]:
@@ -360,37 +355,14 @@ def _ints(text: str, where: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def parse_family(text: str) -> FamilySpec:
-    """Parse a family description string.
+def build_family(text: str) -> Hypergraph:
+    """Build the hypergraph a family label names.
 
     Grammar: ``complete:n,k`` | ``edgeless:n`` | ``cycle:m,k`` |
     ``cm:k:n1,n2,...`` | ``xn:n,k`` | ``star:k,s`` | ``p3:k`` |
     ``gss:k`` | ``fano``.
     """
     head, _, rest = text.strip().partition(":")
-    if head == "fano":
-        if rest:
-            raise FamilyGrammarError("fano takes no parameters")
-        return FamilySpec(kind="explicit", k=3, name="fano")
-    simple = {
-        "complete": ("complete", 2, (1,)),  # (kind, arity, k position(s))
-        "edgeless": ("edgeless", 1, ()),
-        "cycle": ("cycle", 2, (1,)),
-        "xn": ("x_n", 2, (1,)),
-        "star": ("hyperstar", 2, (0,)),
-        "p3": ("path_p3", 1, (0,)),
-        "gss": ("g_star_star", 1, (0,)),
-    }
-    if head in simple:
-        kind, arity, k_pos = simple[head]
-        values = _ints(rest, text)
-        if len(values) != arity:
-            raise FamilyGrammarError(
-                f"{text}: {head} takes {arity} integer parameter(s), got {len(values)}"
-            )
-        k = values[k_pos[0]] if k_pos else None
-        counts = tuple(v for i, v in enumerate(values) if i not in k_pos)
-        return FamilySpec(kind=kind, k=k, counts=counts)
     if head == "cm":
         k_text, sep, pendant_text = rest.partition(":")
         if not sep:
@@ -401,28 +373,15 @@ def parse_family(text: str) -> FamilySpec:
         pendants = _ints(pendant_text, text)
         if len(pendants) < 2:
             raise FamilyGrammarError(f"{text}: cm needs at least two pendant counts")
-        return FamilySpec(kind="unicyclic_cm", k=k[0], counts=pendants)
-    raise FamilyGrammarError(f"unknown family {head!r} at position 1 of {text!r}")
-
-
-def build_family(spec: FamilySpec) -> Hypergraph:
-    """Instantiate a family description."""
-    if spec.kind == "complete":
-        return complete_uniform(spec.counts[0], spec.k)
-    if spec.kind == "edgeless":
-        return edgeless(spec.counts[0])
-    if spec.kind == "cycle":
-        return cycle(spec.counts[0], spec.k)[0]
-    if spec.kind == "unicyclic_cm":
-        return unicyclic_cm(spec.k, list(spec.counts))[0]
-    if spec.kind == "x_n":
-        return x_n(spec.counts[0], spec.k)[0]
-    if spec.kind == "hyperstar":
-        return hyperstar(spec.k, spec.counts[0])
-    if spec.kind == "path_p3":
-        return path_p3(spec.k)[0]
-    if spec.kind == "g_star_star":
-        return g_star_star(spec.k)
-    if spec.kind == "explicit" and spec.name == "fano":
-        return fano_plane()
-    raise FamilyGrammarError(f"cannot build family spec {spec!r}")
+        return unicyclic_cm(k[0], list(pendants))[0]
+    if head not in _FAMILIES:
+        raise FamilyGrammarError(f"unknown family {head!r} at position 1 of {text!r}")
+    arity, builder = _FAMILIES[head]
+    if arity == 0 and rest:
+        raise FamilyGrammarError(f"{head} takes no parameters")
+    values = _ints(rest, text)
+    if len(values) != arity:
+        raise FamilyGrammarError(
+            f"{text}: {head} takes {arity} integer parameter(s), got {len(values)}"
+        )
+    return builder(*values)

@@ -1,9 +1,19 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from hypestra import closed_walk_counts, cli, from_text, to_text, unicyclic_cm
+from hypestra import (
+    build_family,
+    cli,
+    closed_walk_counts,
+    estrada_index,
+    from_text,
+    spectrum_of,
+    to_text,
+    unicyclic_cm,
+)
 from hypestra.theorems import BoundReport
 
 from conftest import family_fixtures
@@ -41,6 +51,28 @@ class TestGen:
         code, _, err = run(capsys, "gen", "complete:4,x")
         assert code == 2
         assert "position" in err
+
+    @pytest.mark.parametrize(
+        "family,message",
+        [
+            ("fano:x", "fano takes no parameters"),
+            ("cm:3", "cm:3: expected cm:k:n1,n2,..."),
+            ("cm:x:1,2", "cm:x:1,2: expected an integer at position 1, got 'x'"),
+            ("xn:7,3", "order 7 is not a multiple of k-1 = 2"),
+        ],
+    )
+    def test_gen_errors_exit_2(self, capsys, family, message):
+        code, out, err = run(capsys, "gen", family)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_gen_rebuilds_a_reported_label(self, capsys):
+        _, out, _ = run(capsys, "verify", "orderings", "--k", "3", "--format", "json")
+        instances = [i for r in json.loads(out) for i in r["instances"]]
+        inst = next(i for i in instances if i["left"].startswith("cm:"))
+        code, out, _ = run(capsys, "gen", inst["left"])
+        assert code == 0
+        assert out == to_text(build_family(inst["left"]))
+        assert estrada_index(spectrum_of(from_text(out))) == inst["ee_left"]
 
 
 class TestSpectrum:
@@ -301,3 +333,17 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        cli.main(["gen", "fano"])
+        cli.main(["gen", "fano"])
+        assert len(parsers) == 2
+        assert parsers[0] is parsers[1]

@@ -7,7 +7,6 @@ from hypestra import (
     BIBDCertificate,
     DuplicateEdgeError,
     FamilyGrammarError,
-    FamilySpec,
     Hypergraph,
     HypergraphError,
     bibd_validate,
@@ -23,7 +22,6 @@ from hypestra import (
     hyperstar,
     is_connected,
     is_k_uniform,
-    parse_family,
     path_p3,
     random_uniform,
     spectrum_of,
@@ -292,33 +290,49 @@ class TestGrammar:
         ],
     )
     def test_round_trip(self, text, expected):
-        assert build_family(parse_family(text)) == expected()
+        assert build_family(text) == expected()
 
     def test_gen_x12_counts(self):
-        h = build_family(parse_family("cm:3:4,0"))
+        h = build_family("cm:3:4,0")
         assert h.n == 12
         assert h.m == 6
 
     def test_unknown_family(self):
         with pytest.raises(FamilyGrammarError, match="unknown family"):
-            parse_family("blob:3")
+            build_family("blob:3")
 
     def test_bad_integer_position(self):
         with pytest.raises(FamilyGrammarError, match="position 2"):
-            parse_family("complete:4,x")
+            build_family("complete:4,x")
 
     def test_wrong_arity(self):
         with pytest.raises(FamilyGrammarError, match="parameter"):
-            parse_family("cycle:2")
+            build_family("cycle:2")
 
     def test_cm_needs_two_counts(self):
         with pytest.raises(FamilyGrammarError, match="two pendant counts"):
-            parse_family("cm:3:4")
+            build_family("cm:3:4")
 
     def test_fano_takes_no_parameters(self):
         with pytest.raises(FamilyGrammarError):
-            parse_family("fano:1")
+            build_family("fano:1")
 
-    def test_spec_kind_validated(self):
-        with pytest.raises(FamilyGrammarError):
-            FamilySpec(kind="nonsense")
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("blob:3", "unknown family 'blob' at position 1 of 'blob:3'"),
+            ("", "unknown family '' at position 1 of ''"),
+            ("complete:4,x", "complete:4,x: expected an integer at position 2, got 'x'"),
+            ("cycle:2", "cycle:2: cycle takes 2 integer parameter(s), got 1"),
+            ("cm:3", "cm:3: expected cm:k:n1,n2,..."),
+            ("cm:3,4:1,2", "cm:3,4:1,2: cm needs a single k before the pendant list"),
+            ("cm:3:4", "cm:3:4: cm needs at least two pendant counts"),
+            ("cm:x:1,2", "cm:x:1,2: expected an integer at position 1, got 'x'"),
+            ("fano:1", "fano takes no parameters"),
+            ("fano:x", "fano takes no parameters"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(FamilyGrammarError) as exc:
+            build_family(text)
+        assert str(exc.value) == message

@@ -8,9 +8,11 @@ import pytest
 from hypestra import (
     AS_WRITTEN,
     CharacterizationMismatchError,
+    FamilyGrammarError,
     Hypergraph,
     THETA_PLUS_ONE,
     adjacency,
+    build_family,
     check_all_bounds,
     check_ee_lower_edges,
     check_ee_lower_spectral,
@@ -33,6 +35,7 @@ from hypestra import (
     ring_reduction,
     shrink,
     spectrum_of,
+    unicyclic_catalog,
     unicyclic_cm,
     verify_extremal,
     verify_ordering_lemmas,
@@ -359,6 +362,20 @@ class TestOrderingSuites:
             assert report.instances, lemma_id
             assert report.all_strict, lemma_id
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_labels_rebuild_what_was_solved(self, k):
+        rebuilt = 0
+        for report in verify_ordering_lemmas(k, 16):
+            for inst in report.instances:
+                for label, ee in ((inst.left, inst.ee_left), (inst.right, inst.ee_right)):
+                    try:
+                        h = build_family(label)
+                    except FamilyGrammarError:
+                        continue  # report-only name, e.g. "...->reduced"
+                    assert estrada_index(spectrum_of(h)) == ee, (report.lemma_id, label)
+                    rebuilt += 1
+        assert rebuilt > 0
+
     def test_path_surgery_matches_named_families(self):
         # re-wiring the path's first edge to close a ring reproduces the
         # three-ring; re-wiring it one vertex earlier reproduces the
@@ -399,6 +416,21 @@ class TestExtremal:
     def test_k4(self):
         report = verify_extremal(4, 4)
         assert report.passed
+
+    @pytest.mark.parametrize("k,n_over", [(3, 3), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4)])
+    def test_cm_labels_build_their_catalog_entry(self, k, n_over):
+        catalog = {e.label: e.hypergraph for e in unicyclic_catalog(n_over, k)}
+        cm_labels = [
+            label for label, _ in verify_extremal(n_over, k).ranking
+            if label.startswith("cm:") and "+" not in label
+        ]
+        assert cm_labels
+        for label in cm_labels:
+            assert build_family(label) == catalog[label], label
+        deep = [label for label in catalog if "+deep@" in label]
+        for label in deep:
+            with pytest.raises(FamilyGrammarError):
+                build_family(label)
 
     def test_ties_rank_by_label_whatever_the_noise(self, monkeypatch):
         clean = verify_extremal(6, 3).ranking
