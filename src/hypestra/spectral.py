@@ -228,14 +228,19 @@ def _exact(matrix) -> np.ndarray:
 
 
 def _walk_diagonals(matrix, s_max: int) -> list[list[int]]:
-    """Diagonals of M^1, ..., M^s_max of an integer matrix from one exact
-    power pass."""
-    a = _exact(matrix)
-    power, diagonals = a, []
-    for s in range(s_max):
-        if s:
-            power = power @ a
-        diagonals.append(power.diagonal().tolist())
+    """Diagonals of M^1, ..., M^s_max of a symmetric integer matrix from
+    the exact powers up to ceil(s_max / 2).
+
+    Powers of a symmetric matrix are symmetric, so the diagonal of M^s is
+    the row-wise dot product of M^floor(s/2) with M^ceil(s/2).
+    """
+    powers = [_exact(matrix)]
+    while 2 * len(powers) < s_max:
+        powers.append(powers[-1] @ powers[0])
+    diagonals = [powers[0].diagonal().tolist()] if s_max else []
+    for s in range(2, s_max + 1):
+        half = powers[s // 2 - 1] * powers[(s + 1) // 2 - 1]
+        diagonals.append(half.sum(axis=1).tolist())
     return diagonals
 
 

@@ -9,6 +9,7 @@ README for the catalog of bound identifiers and their statements.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +21,6 @@ from .hypercore import (
     HypergraphError,
     VACUOUS,
     add_edge,
-    complement_uniform,
     degrees,
     diameter,
     extend_edge,
@@ -341,6 +341,22 @@ def check_ee_upper_energy(
     return refined, coarse
 
 
+def _complement_adjacency(a: np.ndarray, k: int) -> np.ndarray:
+    """Adjacency of the k-uniform complement from the adjacency a of a
+    k-uniform hypergraph, without listing the complement's edges.
+
+    Every vertex pair lies in C(n-2, k-2) k-subsets, so the complement's
+    pair counts are C(n-2, k-2)*(J - I) - a.
+    """
+    n = a.shape[0]
+    if not 2 <= k <= n:
+        raise HypergraphError(f"need 2 <= k <= n for complement, got k={k}, n={n}")
+    # a pair count past int64 raises here instead of wrapping
+    bar = np.full((n, n), np.int64(math.comb(n - 2, k - 2)))
+    np.fill_diagonal(bar, 0)
+    return bar - a
+
+
 def check_nordhaus_gaddum(
     h: Hypergraph,
     k: int | None = None,
@@ -354,7 +370,7 @@ def check_nordhaus_gaddum(
     if spectrum is None:
         spectrum = spectrum_of(h)
     ee = estrada_index(spectrum)
-    ee_bar = estrada_index(spectrum_of(complement_uniform(h, k)))
+    ee_bar = estrada_index(eigendecompose(_complement_adjacency(spectrum.matrix, k)))
     lhs = ee + ee_bar
     rhs = 2 * math.exp((h.n - 1) / 2) + 2 * (h.n - 1) * math.exp(-0.5)
     return _report(
@@ -520,14 +536,14 @@ def _ee(h: Hypergraph) -> float:
     return estrada_index(spectrum_of(h))
 
 
-def _instance(left: str, hl: Hypergraph, right: str, hr: Hypergraph) -> OrderingInstance:
-    el, er = _ee(hl), _ee(hr)
-    return OrderingInstance(left, right, el, er, bool(el < er))
+#: the two sides of an ordering instance: left label and hypergraph, then
+#: right label and hypergraph
+_Sides = tuple[str, Hypergraph, str, Hypergraph]
 
 
-def _pair(left: str, right: str) -> OrderingInstance:
-    """Ordering instance whose two sides are built from their labels."""
-    return _instance(left, fam.build_family(left), right, fam.build_family(right))
+def _pair(left: str, right: str) -> _Sides:
+    """Both sides of an ordering instance, built from their labels."""
+    return left, fam.build_family(left), right, fam.build_family(right)
 
 
 def ring_reduction(h: Hypergraph, labeling, k: int) -> Hypergraph:
@@ -545,7 +561,7 @@ def ring_reduction(h: Hypergraph, labeling, k: int) -> Hypergraph:
     return extend_edge(shrunk, shrunk.edge_index(stub), v3)
 
 
-def _lemma26_instances(k: int, size_budget: int) -> list[OrderingInstance]:
+def _lemma26_sides(k: int, size_budget: int) -> list[_Sides]:
     out = []
     m = 4
     while (k - 1) * m <= size_budget:
@@ -557,13 +573,13 @@ def _lemma26_instances(k: int, size_budget: int) -> list[OrderingInstance]:
                 h, labeling = fam.unicyclic_cm(k, list(comp))
                 reduced = ring_reduction(h, labeling, k)
                 label = fam.cm_label(k, comp)
-                out.append(_instance(label, h, label + "->reduced", reduced))
+                out.append((label, h, label + "->reduced", reduced))
             s += 1
         m += 1
     return out
 
 
-def _lemma27_instances(k: int, size_budget: int) -> list[OrderingInstance]:
+def _lemma27_sides(k: int, size_budget: int) -> list[_Sides]:
     out = []
     s = 3
     while (k - 1) * (3 + s) <= size_budget:
@@ -579,7 +595,7 @@ def _lemma27_instances(k: int, size_budget: int) -> list[OrderingInstance]:
     return out
 
 
-def _lemma42_instances(k: int, size_budget: int) -> list[OrderingInstance]:
+def _lemma42_sides(k: int, size_budget: int) -> list[_Sides]:
     out = []
     s = 2
     while (k - 1) * (2 + s) <= size_budget:
@@ -592,7 +608,7 @@ def _lemma42_instances(k: int, size_budget: int) -> list[OrderingInstance]:
     return out
 
 
-def _lemma43_instances(k: int, size_budget: int) -> list[OrderingInstance]:
+def _lemma43_sides(k: int, size_budget: int) -> list[_Sides]:
     out = []
     q = 4
     while (k - 1) * q <= size_budget:
@@ -601,7 +617,7 @@ def _lemma43_instances(k: int, size_budget: int) -> list[OrderingInstance]:
     return out
 
 
-def _monotonicity_instances(k: int, size_budget: int) -> list[OrderingInstance]:
+def _monotonicity_sides(k: int, size_budget: int) -> list[_Sides]:
     from itertools import combinations
 
     labels = [f"edgeless:{k + 1}", f"star:{k},2"]
@@ -619,9 +635,7 @@ def _monotonicity_instances(k: int, size_budget: int) -> list[OrderingInstance]:
                 if cand in present:
                     continue
                 grown = add_edge(h, cand)
-                out.append(
-                    _instance(label, h, f"{label}+{','.join(map(str, cand))}", grown)
-                )
+                out.append((label, h, f"{label}+{','.join(map(str, cand))}", grown))
     return out
 
 
@@ -637,20 +651,27 @@ def verify_ordering_lemmas(k: int, size_budget: int) -> list[OrderingReport]:
     """
     if k < 3:
         raise HypergraphError(f"ordering suites need k >= 3, got {k}")
-    reports = [
-        OrderingReport("lemma2.6-ring-reduction", tuple(_lemma26_instances(k, size_budget))),
-        OrderingReport("lemma2.7-pendant-consolidation", tuple(_lemma27_instances(k, size_budget))),
-        OrderingReport("lemma4.2-pendant-shift", tuple(_lemma42_instances(k, size_budget))),
-        OrderingReport("lemma4.3-ring3-to-ring2", tuple(_lemma43_instances(k, size_budget))),
+    # many sides recur across instances (a base shape with each added
+    # edge, a middle shape on both sides of a chain): solve each distinct
+    # hypergraph once, in a memo that lives for this call only
+    ee = functools.cache(_ee)
+
+    def report(lemma_id: str, sides: list[_Sides]) -> OrderingReport:
+        instances = []
+        for left, hl, right, hr in sides:
+            el, er = ee(hl), ee(hr)
+            instances.append(OrderingInstance(left, right, el, er, bool(el < er)))
+        return OrderingReport(lemma_id, tuple(instances))
+
+    gss = [_pair(f"cycle:3,{k}", f"gss:{k}")] if 3 * (k - 1) <= size_budget else []
+    return [
+        report("lemma2.6-ring-reduction", _lemma26_sides(k, size_budget)),
+        report("lemma2.7-pendant-consolidation", _lemma27_sides(k, size_budget)),
+        report("lemma4.2-pendant-shift", _lemma42_sides(k, size_budget)),
+        report("lemma4.3-ring3-to-ring2", _lemma43_sides(k, size_budget)),
+        report("remark4.11-ring3-vs-gss", gss),
+        report("ee-monotonicity", _monotonicity_sides(k, size_budget)),
     ]
-    gss_instances: list[OrderingInstance] = []
-    if 3 * (k - 1) <= size_budget:
-        gss_instances.append(_pair(f"cycle:3,{k}", f"gss:{k}"))
-    reports.append(OrderingReport("remark4.11-ring3-vs-gss", tuple(gss_instances)))
-    reports.append(
-        OrderingReport("ee-monotonicity", tuple(_monotonicity_instances(k, size_budget)))
-    )
-    return reports
 
 
 # --- extremal ranking --------------------------------------------------------

@@ -194,6 +194,14 @@ class TestCheck:
         assert code == 2
         assert "uniform" in err
 
+    @pytest.mark.parametrize("k", ["1", "6"])
+    def test_complement_order_guard_exits_2(self, capsys, tmp_path, k):
+        path = tmp_path / "edgeless5.txt"
+        path.write_text("5\n")
+        code, out, err = run(capsys, "check", str(path), "--k", k)
+        assert (code, out) == (2, "")
+        assert err == f"error: need 2 <= k <= n for complement, got k={k}, n=5\n"
+
     def test_failed_bound_exits_1(self, capsys, tmp_path, monkeypatch):
         failing = BoundReport(
             bound_id="synthetic", lhs=1.0, rhs=0.0, slack=-1.0,

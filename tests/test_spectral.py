@@ -308,6 +308,31 @@ class TestWalks:
             assert trace_power(adjacency(h), s) == np.trace(power), s
             assert [row[s - 1] for row in table] == list(power.diagonal()), s
 
+    def test_short_tables_match_plain_products(self, small_fixtures):
+        # s_max 1, 2 and 3 read every diagonal from A alone or from A and
+        # A^2; the reference is a plain sequence of object products
+        for name, h, _ in small_fixtures:
+            a = adjacency(h).astype(object)
+            power, reference = np.identity(h.n, dtype=object), []
+            for s in range(1, 4):
+                power = power @ a
+                reference.append(list(power.diagonal()))
+            spectrum = spectrum_of(h)
+            for s_max in (1, 2, 3):
+                expected = [list(row) for row in zip(*reference[:s_max])]
+                assert closed_walk_table(h, s_max) == expected, (name, s_max)
+                walks = summarize(spectrum, s_max, s_max).closed_walks
+                assert [list(row) for row in walks] == expected, (name, s_max)
+                moments = summarize(spectrum, s_max).moments
+                assert moments == (h.n, *map(sum, reference[:s_max])), (name, s_max)
+
+    def test_orders_zero_and_one(self):
+        for n in (0, 1):
+            s = summarize(spectrum_of(edgeless(n)), 8, 3)
+            assert s.moments == (n, 0, 0, 0, 0, 0, 0, 0, 0), n
+            assert s.closed_walks == ((0, 0, 0),) * n, n
+            assert closed_walk_table(edgeless(n), 3) == [[0, 0, 0]] * n, n
+
     def test_single_powers_take_logarithmic_products(self):
         # A is a 2x2 swap, so A^s stays 0/1; ten million sequential object
         # products take over ten seconds, binary exponentiation takes ~50

@@ -23,6 +23,7 @@ from hypestra import (
     check_sum_t_largest_hypergraph,
     check_sum_t_largest_matrix,
     classify_two_eigenvalue,
+    complement_uniform,
     complete_uniform,
     cycle,
     edgeless,
@@ -40,6 +41,7 @@ from hypestra import (
     verify_extremal,
     verify_ordering_lemmas,
 )
+from hypestra import hypercore, theorems
 from hypestra.theorems import (
     bound_report_to_dict,
     bound_reports_to_csv,
@@ -234,6 +236,52 @@ class TestNordhausGaddum:
             check_nordhaus_gaddum(edgeless(4))
 
 
+class TestComplementAdjacency:
+    """The complement's pair counts come from C(n-2, k-2)(J - I) - A; the
+    reference lists the complement's edges and builds their adjacency."""
+
+    @staticmethod
+    def _assert_closed_form(h, k, context):
+        closed = theorems._complement_adjacency(adjacency(h), k)
+        listed = adjacency(complement_uniform(h, k))
+        assert closed.dtype == np.int64, context
+        assert np.array_equal(closed, listed), context
+
+    def test_fixtures(self, fixtures):
+        for name, h, k in fixtures:
+            self._assert_closed_form(h, k, name)
+
+    def test_random_instances(self):
+        rng = random.Random(20261018)
+        for i in range(200):
+            k = rng.choice((2, 3, 4))
+            n = rng.randint(k, 12)
+            m = rng.randint(0, math.comb(n, k))
+            self._assert_closed_form(random_uniform(n, k, m, rng), k, (i, n, k, m))
+
+    def test_edgeless_and_k_equals_n(self):
+        for n in range(2, 9):
+            for k in range(2, n + 1):
+                self._assert_closed_form(edgeless(n), k, (n, k))
+                self._assert_closed_form(complete_uniform(n, k), k, (n, k))
+            self._assert_closed_form(Hypergraph(n, [tuple(range(n))]), n, n)
+
+    def test_pair_count_past_int64_raises(self):
+        # C(98, 49) > 2**63: refuse instead of wrapping
+        with pytest.raises(OverflowError):
+            theorems._complement_adjacency(np.zeros((100, 100), dtype=np.int64), 51)
+
+    def test_check_lists_no_complement_edges(self, fixtures, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("complement edges listed")
+
+        monkeypatch.setattr(hypercore, "complement_uniform", refuse)
+        monkeypatch.setattr(theorems, "complement_uniform", refuse, raising=False)
+        for name, h, k in fixtures:
+            reports = check_all_bounds(h, k)
+            assert "thm4.5-nordhaus-gaddum" in {r.bound_id for r in reports}, name
+
+
 class TestTwoEigenvalueClassification:
     def test_fano(self):
         beta, cert = classify_two_eigenvalue(fano_plane())
@@ -375,6 +423,18 @@ class TestOrderingSuites:
                     assert estrada_index(spectrum_of(h)) == ee, (report.lemma_id, label)
                     rebuilt += 1
         assert rebuilt > 0
+
+    @pytest.mark.parametrize("k, distinct", [(3, 235), (4, 254)])
+    def test_each_distinct_side_solved_once(self, k, distinct, monkeypatch):
+        solved = []
+
+        def counting(h):
+            solved.append(h)
+            return spectrum_of(h)
+
+        monkeypatch.setattr(theorems, "spectrum_of", counting)
+        verify_ordering_lemmas(k, 16)
+        assert len(solved) == len(set(solved)) == distinct
 
     def test_path_surgery_matches_named_families(self):
         # re-wiring the path's first edge to close a ring reproduces the
