@@ -21,6 +21,7 @@ from .hypercore import Hypergraph, HypergraphError, read_file, to_json, to_text,
 from .spectral import (
     estrada_index,
     format_float,
+    spectra_of,
     spectrum_of,
     spectrum_to_csv,
     summary_to_dict,
@@ -115,9 +116,10 @@ def cmd_complement(args) -> int:
 
 def cmd_enumerate(args) -> int:
     entries = fam.unicyclic_catalog(args.nover, args.k)
+    spectra = spectra_of(e.hypergraph for e in entries)
     scored = [
-        (e.label, e.hypergraph, estrada_index(spectrum_of(e.hypergraph)))
-        for e in entries
+        (e.label, e.hypergraph, estrada_index(spectrum))
+        for e, spectrum in zip(entries, spectra)
     ]
     if args.format == "json":
         payload = [

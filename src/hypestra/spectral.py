@@ -5,6 +5,11 @@ float view goes to LAPACK's symmetric eigenvalue driver
 (``numpy.linalg.eigvalsh``).  Its integer entries feed the exact paths:
 walk counts and spectral moments are entries and traces of its powers,
 taken over Python's unbounded integers, so counts are exact at any size.
+
+Many hypergraphs of one order are built as one (B, n, n) stack and solved
+in one call (``spectra_of``); a single matrix is the stack of one, so both
+paths share one adjacency builder and one solver, and give bitwise equal
+spectra.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ from .hypercore import Hypergraph
 
 #: exp overflows double precision just above this exponent
 _EXP_OVERFLOW = 709.0
+
+#: most matrices ``spectra_of`` builds and solves in one stack
+_STACK_LIMIT = 64
 
 #: walk_dominance outcomes
 STRICT = "strict"
@@ -67,28 +75,47 @@ class SpectralSummary:
     closed_walks: tuple[tuple[int, ...], ...] = ()
 
 
+def _adjacency_stack(hs: list[Hypergraph], n: int) -> np.ndarray:
+    """Adjacency matrices of hypergraphs on n vertices each, as one
+    read-only (len(hs), n, n) int64 stack.
+
+    Edge e of hypergraph b counts its pairs at offset b*n^2, so each
+    position pair takes one bincount over every edge of the batch, and
+    memory stays O(len(hs)*n^2 + m*k) however many edges there are.
+    """
+    edges = [e for h in hs for e in h.edges]
+    # where each edge's matrix starts in counts; a lone matrix starts at 0,
+    # and zeros cost far less than arange/repeat on small inputs
+    offsets = (
+        (np.arange(len(hs), dtype=np.int64) * (n * n)).repeat([h.m for h in hs])
+        if len(hs) > 1
+        else np.zeros(len(edges), dtype=np.int64)
+    )
+    counts = np.zeros(len(hs) * n * n, dtype=np.int64)
+    sizes = set(map(len, edges))
+    for size in sizes:
+        group, base = edges, offsets
+        if len(sizes) > 1:
+            picked = [i for i, edge in enumerate(edges) if len(edge) == size]
+            group, base = [edges[i] for i in picked], offsets[picked]
+        # e[x] holds every edge's x-th vertex; rows[x] is the row part of
+        # the pair key, shifted to the edge's own matrix
+        e = np.array(list(zip(*group)), dtype=np.int64)
+        rows = e[:-1] * n + base
+        # edges are increasing tuples, so x < y lands above the diagonal
+        for x, y in combinations(range(size), 2):
+            counts += np.bincount(rows[x] + e[y], minlength=counts.size)
+    upper = counts.reshape(len(hs), n, n)
+    stack = upper + upper.transpose(0, 2, 1)
+    stack.flags.writeable = False
+    return stack
+
+
 def adjacency(h: Hypergraph) -> np.ndarray:
     """Pair-multiplicity adjacency matrix as a read-only int64 array:
     entry (i, j) counts the edges containing both i and j; the diagonal
-    is zero.
-
-    Pairs are counted one position pair at a time, so memory stays
-    O(n^2 + m*k) however many edges there are.
-    """
-    n = h.n
-    counts = np.zeros(n * n, dtype=np.int64)
-    by_size: dict[int, list] = {}
-    for e in h.edges:
-        by_size.setdefault(len(e), []).append(e)
-    for size, edges in by_size.items():
-        e = np.array(edges, dtype=np.int64)
-        # edges are increasing tuples, so x < y lands above the diagonal
-        for x, y in combinations(range(size), 2):
-            counts += np.bincount(e[:, x] * n + e[:, y], minlength=n * n)
-    upper = counts.reshape(n, n)
-    a = upper + upper.T
-    a.flags.writeable = False
-    return a
+    is zero."""
+    return _adjacency_stack([h], h.n)[0]
 
 
 def as_symmetric(matrix) -> np.ndarray:
@@ -103,9 +130,9 @@ def as_symmetric(matrix) -> np.ndarray:
     a = a.astype(np.int64 if a.dtype.kind in "iub" else float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if a.dtype.kind == "f" and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    if not np.array_equal(a, a.T):
+    if not (a == a.T).all():
         raise ValueError("matrix is not exactly symmetric")
     if a.flags.writeable:
         a = a.copy()
@@ -113,22 +140,54 @@ def as_symmetric(matrix) -> np.ndarray:
     return a
 
 
+def _spectra(stack: np.ndarray) -> list[Spectrum]:
+    """Spectra of a read-only (B, n, n) stack of exactly symmetric
+    matrices from one eigvalsh call, eigenvalues descending.
+
+    LAPACK solves each matrix of the stack on its own, so every spectrum
+    is bitwise the one a one-matrix call gives.  The Frobenius norms are
+    row-wise dot products, the same sums ``np.linalg.norm`` takes.
+    """
+    f = stack.astype(float)
+    values = np.linalg.eigvalsh(f)[:, ::-1].copy()
+    b, n, _ = f.shape
+    flat = f.reshape(b, n * n)
+    fros = np.sqrt(flat[:, None, :] @ flat[:, :, None]).ravel().tolist()
+    return [Spectrum(v, a, 1e-9 * max(1.0, fro), fro) for v, a, fro in zip(values, stack, fros)]
+
+
 def eigendecompose(matrix) -> Spectrum:
     """Spectrum of a real symmetric matrix, eigenvalues descending."""
-    a = as_symmetric(matrix)
-    values = np.linalg.eigvalsh(a.astype(float))[::-1].copy()
-    fro = float(np.linalg.norm(a))
-    return Spectrum(
-        eigenvalues=values,
-        matrix=a,
-        zero_tolerance=1e-9 * max(1.0, fro),
-        frobenius_norm=fro,
-    )
+    return _spectra(as_symmetric(matrix)[None])[0]
 
 
 def spectrum_of(h: Hypergraph) -> Spectrum:
     """Adjacency spectrum of a hypergraph."""
     return eigendecompose(adjacency(h))
+
+
+def spectra_of(hypergraphs) -> list[Spectrum]:
+    """Adjacency spectra of many hypergraphs, in input order, each bitwise
+    equal to ``spectrum_of`` of it.
+
+    Hypergraphs of one order are built and solved together, in stacks of
+    at most ``_STACK_LIMIT`` matrices, so a stack holds O(_STACK_LIMIT*n^2)
+    entries.
+    """
+    hs = list(hypergraphs)
+    by_order: dict[int, list[int]] = {}
+    for i, h in enumerate(hs):
+        by_order.setdefault(h.n, []).append(i)
+    out: list[Spectrum] = [None] * len(hs)
+    for n, positions in by_order.items():
+        for start in range(0, len(positions), _STACK_LIMIT):
+            chunk = positions[start : start + _STACK_LIMIT]
+            stack = _adjacency_stack([hs[i] for i in chunk], n)
+            if not (stack == stack.transpose(0, 2, 1)).all():
+                raise ValueError("matrix is not exactly symmetric")
+            for i, spectrum in zip(chunk, _spectra(stack)):
+                out[i] = spectrum
+    return out
 
 
 def _moments(

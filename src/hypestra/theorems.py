@@ -9,7 +9,6 @@ README for the catalog of bound identifiers and their statements.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,6 +35,7 @@ from .spectral import (
     estrada_index,
     negative_count,
     spectral_moment,
+    spectra_of,
     spectrum_of,
 )
 
@@ -532,10 +532,6 @@ class OrderingReport:
         return all(inst.strict_holds for inst in self.instances)
 
 
-def _ee(h: Hypergraph) -> float:
-    return estrada_index(spectrum_of(h))
-
-
 #: the two sides of an ordering instance: left label and hypergraph, then
 #: right label and hypergraph
 _Sides = tuple[str, Hypergraph, str, Hypergraph]
@@ -651,27 +647,30 @@ def verify_ordering_lemmas(k: int, size_budget: int) -> list[OrderingReport]:
     """
     if k < 3:
         raise HypergraphError(f"ordering suites need k >= 3, got {k}")
+    gss = [_pair(f"cycle:3,{k}", f"gss:{k}")] if 3 * (k - 1) <= size_budget else []
+    lemmas = [
+        ("lemma2.6-ring-reduction", _lemma26_sides(k, size_budget)),
+        ("lemma2.7-pendant-consolidation", _lemma27_sides(k, size_budget)),
+        ("lemma4.2-pendant-shift", _lemma42_sides(k, size_budget)),
+        ("lemma4.3-ring3-to-ring2", _lemma43_sides(k, size_budget)),
+        ("remark4.11-ring3-vs-gss", gss),
+        ("ee-monotonicity", _monotonicity_sides(k, size_budget)),
+    ]
     # many sides recur across instances (a base shape with each added
     # edge, a middle shape on both sides of a chain): solve each distinct
-    # hypergraph once, in a memo that lives for this call only
-    ee = functools.cache(_ee)
-
-    def report(lemma_id: str, sides: list[_Sides]) -> OrderingReport:
+    # hypergraph once, all of them in one stacked call
+    distinct = dict.fromkeys(
+        h for _, sides in lemmas for _, hl, _, hr in sides for h in (hl, hr)
+    )
+    ee = dict(zip(distinct, map(estrada_index, spectra_of(distinct))))
+    reports = []
+    for lemma_id, sides in lemmas:
         instances = []
         for left, hl, right, hr in sides:
-            el, er = ee(hl), ee(hr)
+            el, er = ee[hl], ee[hr]
             instances.append(OrderingInstance(left, right, el, er, bool(el < er)))
-        return OrderingReport(lemma_id, tuple(instances))
-
-    gss = [_pair(f"cycle:3,{k}", f"gss:{k}")] if 3 * (k - 1) <= size_budget else []
-    return [
-        report("lemma2.6-ring-reduction", _lemma26_sides(k, size_budget)),
-        report("lemma2.7-pendant-consolidation", _lemma27_sides(k, size_budget)),
-        report("lemma4.2-pendant-shift", _lemma42_sides(k, size_budget)),
-        report("lemma4.3-ring3-to-ring2", _lemma43_sides(k, size_budget)),
-        report("remark4.11-ring3-vs-gss", gss),
-        report("ee-monotonicity", _monotonicity_sides(k, size_budget)),
-    ]
+        reports.append(OrderingReport(lemma_id, tuple(instances)))
+    return reports
 
 
 # --- extremal ranking --------------------------------------------------------
@@ -732,8 +731,12 @@ def verify_extremal(n_over: int, k: int) -> ExtremalReport:
     if k < 3:
         raise HypergraphError(f"extremal ranking needs k >= 3, got {k}")
     catalog = fam.unicyclic_catalog(n_over, k)
+    spectra = spectra_of(entry.hypergraph for entry in catalog)
     by_value = sorted(
-        ((entry.label, _ee(entry.hypergraph), entry.hypergraph) for entry in catalog),
+        (
+            (entry.label, estrada_index(spectrum), entry.hypergraph)
+            for entry, spectrum in zip(catalog, spectra)
+        ),
         key=lambda item: -item[1],
     )
     # ties within tolerance (isomorphic entries differ in the last bits)

@@ -216,7 +216,10 @@ class TestCheck:
 
 
 def _oracle_eigvalsh(a):
-    """eigvalsh's contract (ascending eigenvalues) from the Jacobi oracle."""
+    """eigvalsh's contract (ascending eigenvalues, one row per matrix of a
+    stack) from the Jacobi oracle."""
+    if a.ndim > 2:
+        return np.array([_oracle_eigvalsh(m) for m in a]).reshape(a.shape[:-1])
     return jacobi_eigh(a)[0][::-1]
 
 
@@ -319,6 +322,23 @@ class TestVerifyAndEnumerate:
         code, out, _ = run(capsys, "enumerate", "--nover", "3", "--k", "3", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "label,n,m,estrada"
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_enumerate_scores_in_one_stacked_call(self, capsys, monkeypatch, fmt):
+        args = ("enumerate", "--nover", "5", "--k", "3", "--format", fmt)
+        calls = 0
+        solve = np.linalg.eigvalsh
+
+        def counting(a):
+            nonlocal calls
+            calls += 1
+            return solve(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        stacked = run(capsys, *args)
+        assert calls == 1  # the whole catalog is one order, within one stack
+        monkeypatch.setattr(cli, "spectra_of", lambda hs: [spectrum_of(h) for h in hs])
+        assert run(capsys, *args) == stacked
 
     def test_enumerate_bad_nover_exits_2(self, capsys):
         code, _, err = run(capsys, "enumerate", "--nover", "1", "--k", "3")

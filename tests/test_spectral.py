@@ -22,6 +22,7 @@ from hypestra import (
     positive_count,
     random_uniform,
     spectral_moment,
+    spectra_of,
     spectrum_of,
     summarize,
     trace_power,
@@ -29,7 +30,10 @@ from hypestra import (
     walk_count,
     walk_dominance,
 )
+from hypestra import spectral
 from hypestra.spectral import format_float, spectrum_to_csv, summary_to_dict
+
+from conftest import family_fixtures
 
 from oracles import (
     ConvergenceError,
@@ -91,6 +95,67 @@ class TestAdjacency:
             eigendecompose([[0.0, math.inf], [math.inf, 0.0]])
         with pytest.raises(ValueError, match="square"):
             eigendecompose(np.zeros((2, 3)))
+
+
+class TestStackedSpectra:
+    """spectra_of solves same-order hypergraphs in stacks; every spectrum
+    must be bitwise the one spectrum_of gives for that hypergraph alone."""
+
+    def _batch(self):
+        rng = random.Random(5)
+        hs = [h for _, h, _ in family_fixtures()]
+        hs += [Hypergraph(0, []), Hypergraph(1, []), Hypergraph(5, [(0, 1), (0, 1, 2), (1, 2, 3, 4)])]
+        # more order-8 hypergraphs than one stack holds
+        hs += [
+            random_uniform(8, 3, rng.randint(1, 20), rng)
+            for _ in range(spectral._STACK_LIMIT + 5)
+        ]
+        rng.shuffle(hs)
+        return hs
+
+    @pytest.mark.parametrize("limit", [None, 3])
+    def test_equals_one_at_a_time(self, limit, monkeypatch):
+        if limit is not None:
+            monkeypatch.setattr(spectral, "_STACK_LIMIT", limit)
+        hs = self._batch()
+        stacked = spectra_of(hs)
+        assert len(stacked) == len(hs)
+        for h, got in zip(hs, stacked):
+            alone = spectrum_of(h)
+            assert np.array_equal(got.eigenvalues, alone.eigenvalues), h
+            assert np.array_equal(got.matrix, alone.matrix), h
+            assert got.matrix.dtype == alone.matrix.dtype == np.int64
+            assert got.zero_tolerance == alone.zero_tolerance, h
+            assert got.frobenius_norm == alone.frobenius_norm, h
+
+    def test_float_matrices_match_the_plain_norm(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7, 16):
+            m = rng.normal(size=(n, n))
+            m = m + m.T
+            spectrum = eigendecompose(m)
+            assert spectrum.frobenius_norm == float(np.linalg.norm(m))
+            assert np.array_equal(spectrum.eigenvalues, np.linalg.eigvalsh(m)[::-1])
+
+    def test_empty_and_read_only(self):
+        assert spectra_of([]) == []
+        for spectrum in spectra_of(self._batch()):
+            with pytest.raises(ValueError):
+                spectrum.matrix[..., 0] = 1
+            assert not spectrum.matrix.flags.writeable
+
+    def test_one_solve_per_order_and_stack(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_STACK_LIMIT", 4)
+        calls = []
+        solve = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return solve(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        spectra_of([cycle(2, 3)[0]] * 9 + [edgeless(5)] * 4 + [complete_uniform(4, 3)])
+        assert sorted(calls) == [(2, 4, 4), (4, 4, 4), (4, 4, 4), (4, 5, 5)]
 
 
 class TestJacobi:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from hypestra import (
     verify_extremal,
     verify_ordering_lemmas,
 )
-from hypestra import hypercore, theorems
+from hypestra import hypercore, spectral, theorems
 from hypestra.theorems import (
     bound_report_to_dict,
     bound_reports_to_csv,
@@ -426,15 +427,17 @@ class TestOrderingSuites:
 
     @pytest.mark.parametrize("k, distinct", [(3, 235), (4, 254)])
     def test_each_distinct_side_solved_once(self, k, distinct, monkeypatch):
-        solved = []
+        solved = 0
+        solve = np.linalg.eigvalsh
 
-        def counting(h):
-            solved.append(h)
-            return spectrum_of(h)
+        def counting(a):
+            nonlocal solved
+            solved += len(a) if a.ndim == 3 else 1
+            return solve(a)
 
-        monkeypatch.setattr(theorems, "spectrum_of", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         verify_ordering_lemmas(k, 16)
-        assert len(solved) == len(set(solved)) == distinct
+        assert solved == distinct
 
     def test_path_surgery_matches_named_families(self):
         # re-wiring the path's first edge to close a ring reproduces the
@@ -449,6 +452,52 @@ class TestOrderingSuites:
         assert _ee(ring_closed) == pytest.approx(_ee(cycle(3, 3)[0]) + 1.0, rel=1e-12)
         assert _ee(gss_like) == pytest.approx(_ee(g_star_star(3)) + 1.0, rel=1e-12)
         assert _ee(ring_closed) < _ee(gss_like)
+
+
+_SUITES = {
+    "orderings-3-16": lambda: verify_ordering_lemmas(3, 16),
+    "orderings-4-18": lambda: verify_ordering_lemmas(4, 18),
+    "extremal-6-3": lambda: verify_extremal(6, 3),
+    "extremal-4-4": lambda: verify_extremal(4, 4),
+}
+
+
+class TestStackedSuites:
+    """Each suite hands all its hypergraphs to spectra_of at once, which
+    makes one eigvalsh call per order and stack."""
+
+    @pytest.mark.parametrize("limit", [None, 7])
+    @pytest.mark.parametrize("suite", sorted(_SUITES))
+    def test_one_solve_per_order_and_stack(self, suite, limit, monkeypatch):
+        if limit is not None:
+            monkeypatch.setattr(spectral, "_STACK_LIMIT", limit)
+        received, calls = [], 0
+        stacked, solve = theorems.spectra_of, np.linalg.eigvalsh
+
+        def spy(hypergraphs):
+            received.append(list(hypergraphs))
+            return stacked(received[-1])
+
+        def counting(a):
+            nonlocal calls
+            calls += 1
+            return solve(a)
+
+        monkeypatch.setattr(theorems, "spectra_of", spy)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        _SUITES[suite]()
+        assert len(received) == 1
+        orders = Counter(h.n for h in received[0])
+        stacks = sum(math.ceil(count / spectral._STACK_LIMIT) for count in orders.values())
+        assert calls == stacks
+        if limit is not None:
+            assert stacks > len(orders)
+
+    @pytest.mark.parametrize("suite", sorted(_SUITES))
+    def test_reports_equal_one_at_a_time(self, suite, monkeypatch):
+        stacked = _SUITES[suite]()
+        monkeypatch.setattr(theorems, "spectra_of", lambda hs: [spectrum_of(h) for h in hs])
+        assert _SUITES[suite]() == stacked
 
 
 class TestExtremal:
@@ -499,12 +548,18 @@ class TestExtremal:
         for (label_a, ee_a), (label_b, ee_b) in zip(clean, clean[1:]):
             if ee_a == ee_b:
                 assert label_a < label_b
-        # last-bit noise on every solve must not reorder tied entries
+        # last-bit noise on every solved matrix must not reorder tied
+        # entries; a stacked call draws one factor per matrix, not per call
         solve = np.linalg.eigvalsh
         rng = random.Random(11)
-        monkeypatch.setattr(
-            np.linalg, "eigvalsh", lambda a: solve(a) * (1 + rng.choice((-4e-16, 4e-16)))
-        )
+
+        def jitter(a):
+            values = solve(a)
+            shape = values.shape[:-1]
+            factors = [1 + rng.choice((-4e-16, 4e-16)) for _ in range(math.prod(shape))]
+            return values * np.reshape(factors, shape + (1,))
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", jitter)
         noisy = verify_extremal(6, 3).ranking
         assert [label for label, _ in noisy] == [label for label, _ in clean]
 
