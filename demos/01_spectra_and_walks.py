@@ -52,8 +52,10 @@ print("closed walks at vertex 2, lengths 1..6:", closed_walk_counts(h, 2, 6))
 
 # Closed-walk dominance compares those count vectors: a pendant vertex
 # is strictly dominated by the ring vertex it hangs from.
-grown, labeling = unicyclic_cm(3, [1, 0])
-pendant = [v for v in labeling.pendant_map[0][0] if v != 0][0]
+# Ring vertices come first (0, 1), then the ring fillers (2, 3), then
+# each pendant edge's fresh vertices: here the pendant edge is {0, 4, 5}.
+grown = unicyclic_cm(3, [1, 0])
+pendant = 4
 print("\npendant-attached family:", to_text(grown).strip().replace("\n", " | "))
 print("dominance(pendant vs ring vertex):", walk_dominance(grown, pendant, 0, 10))
 print("dominance(symmetric filler pair):", walk_dominance(h, 2, 3, 10))

@@ -23,9 +23,9 @@ from hypestra import (
 instances = [
     ("edgeless on 5 vertices", edgeless(5), 3),
     ("single 3-edge", complete_uniform(3, 3), 3),
-    ("two-edge ring", cycle(2, 3)[0], 3),
+    ("two-edge ring", cycle(2, 3), 3),
     ("complete 3-uniform on 4", complete_uniform(4, 3), 3),
-    ("ring with pendants", unicyclic_cm(3, [2, 1])[0], 3),
+    ("ring with pendants", unicyclic_cm(3, [2, 1]), 3),
     ("balanced triple system", fano_plane(), 3),
 ]
 

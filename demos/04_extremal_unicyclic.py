@@ -48,7 +48,7 @@ from hypestra import unicyclic_cm
 
 chain = [(2, 1), (3, 0)]
 values = [
-    (pair, estrada_index(spectrum_of(unicyclic_cm(3, list(pair))[0]))) for pair in chain
+    (pair, estrada_index(spectrum_of(unicyclic_cm(3, list(pair))))) for pair in chain
 ]
 print("\npendant shift on the two-edge ring (order 10):")
 for pair, ee in values:

@@ -1,9 +1,11 @@
 """Deterministic generators for the named hypergraph families.
 
-Ring-based families follow a fixed labeling so tests can address
-vertices by role: ring vertices first (``0..m-1``), then the filler
-vertices of each ring edge in (edge, slot) order, then pendant-edge
-vertices in attachment order.
+Every ring-based shape (``cycle``, ``unicyclic_cm``, ``x_n``,
+``g_star_star`` and the unicyclic catalog) has one vertex layout: ring
+vertex i is i, and ring edge i joins ring vertices i and i+1 (mod m);
+filler j of ring edge i is m + i(k-2) + j; then each pendant edge takes
+the next k-1 fresh vertices, attached in vertex order, so a pendant edge
+may hang off a pendant vertex made earlier.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .hypercore import (
-    FamilyLabeling,
     Hypergraph,
     HypergraphError,
     degrees,
@@ -42,43 +43,32 @@ def edgeless(n: int) -> Hypergraph:
     return Hypergraph(n, [])
 
 
-def cycle(m: int, k: int) -> tuple[Hypergraph, FamilyLabeling]:
+def _ring(m: int, k: int, counts: tuple[int, ...] = ()) -> Hypergraph:
+    """Ring of m k-edges with counts[v] pendant edges at vertex v, laid
+    out as the module docstring states."""
+    if m < 2 or k < 2:
+        raise HypergraphError(f"ring needs m >= 2 and k >= 2, got m={m}, k={k}")
+    edges = [
+        [i, (i + 1) % m, *range(m + i * (k - 2), m + (i + 1) * (k - 2))] for i in range(m)
+    ]
+    n = m * (k - 1)
+    for v, count in enumerate(counts):
+        for _ in range(count):
+            edges.append([v, *range(n, n + k - 1)])
+            n += k - 1
+    return Hypergraph(n, edges)
+
+
+def cycle(m: int, k: int) -> Hypergraph:
     """k-uniform ring of m edges; edge i joins ring vertices i and i+1 (mod m).
 
     The order is m*(k-1).  A ring of two 2-vertex edges would repeat an
     edge, so m=2 requires k >= 3 (DuplicateEdgeError otherwise).
     """
-    if m < 2 or k < 2:
-        raise HypergraphError(f"ring needs m >= 2 and k >= 2, got m={m}, k={k}")
-    n = m * (k - 1)
-    aux = {(i, j): m + i * (k - 2) + j for i in range(m) for j in range(k - 2)}
-    edges = []
-    for i in range(m):
-        edges.append([i, (i + 1) % m] + [aux[i, j] for j in range(k - 2)])
-    h = Hypergraph(n, edges)
-    return h, FamilyLabeling(cycle_vertices=tuple(range(m)), auxiliary=aux)
+    return _ring(m, k)
 
 
-def _attach_pendants(
-    h: Hypergraph, attach_counts: list[tuple[int, int]], k: int
-) -> tuple[Hypergraph, dict[int, tuple[tuple[int, ...], ...]]]:
-    """Attach pendant edges: for each (vertex, count), add count fresh edges
-    of k-1 new vertices plus the vertex.  Returns the grown hypergraph and
-    the map vertex -> attached edges."""
-    nxt = h.n
-    edges = list(h.edges)
-    pendant_map: dict[int, list[tuple[int, ...]]] = {}
-    for v, count in attach_counts:
-        for _ in range(count):
-            e = tuple(sorted([v] + list(range(nxt, nxt + k - 1))))
-            nxt += k - 1
-            edges.append(e)
-            pendant_map.setdefault(v, []).append(e)
-    grown = Hypergraph(nxt, edges)
-    return grown, {v: tuple(es) for v, es in pendant_map.items()}
-
-
-def unicyclic_cm(k: int, pendants: list[int]) -> tuple[Hypergraph, FamilyLabeling]:
+def unicyclic_cm(k: int, pendants: list[int]) -> Hypergraph:
     """Ring of m = len(pendants) edges with pendants[i] pendant edges at
     ring vertex i.  Order is (k-1) * (m + sum(pendants))."""
     m = len(pendants)
@@ -86,18 +76,10 @@ def unicyclic_cm(k: int, pendants: list[int]) -> tuple[Hypergraph, FamilyLabelin
         raise HypergraphError(f"need at least 2 ring edges, got {m}")
     if any(p < 0 for p in pendants):
         raise HypergraphError(f"pendant counts must be >= 0, got {pendants}")
-    base, labeling = cycle(m, k)
-    grown, pendant_map = _attach_pendants(
-        base, [(i, pendants[i]) for i in range(m)], k
-    )
-    return grown, FamilyLabeling(
-        cycle_vertices=labeling.cycle_vertices,
-        auxiliary=labeling.auxiliary,
-        pendant_map=pendant_map,
-    )
+    return _ring(m, k, tuple(pendants))
 
 
-def x_n(n: int, k: int) -> tuple[Hypergraph, FamilyLabeling]:
+def x_n(n: int, k: int) -> Hypergraph:
     """The two-edge-ring family with all pendants on one ring vertex:
     ring of 2 edges plus n/(k-1) - 2 pendant edges at ring vertex 0."""
     if k < 2 or n % (k - 1) != 0:
@@ -120,46 +102,24 @@ def hyperstar(k: int, s: int) -> Hypergraph:
     return Hypergraph(nxt, edges)
 
 
-@dataclass(frozen=True)
-class PathLabeling:
-    """Vertex roles for the three-edge path: ``ends`` are the two outer
-    degree-1 vertices, ``cuts`` the two shared vertices, and
-    ``interior[(i, j)]`` the j-th inner filler vertex of edge i."""
-
-    ends: tuple[int, int]
-    cuts: tuple[int, int]
-    interior: dict[tuple[int, int], int]
-
-
-def path_p3(k: int) -> tuple[Hypergraph, PathLabeling]:
-    """Three k-edges chained through two cut vertices; order 3(k-1)+1.
+def path_p3(k: int) -> Hypergraph:
+    """Three k-edges chained through the cut vertices k-1 and 2(k-1); the
+    ends are 0 and 3(k-1), so the order is 3(k-1)+1.
 
     Needs k >= 3 so every edge has interior filler vertices.
     """
     if k < 3:
         raise HypergraphError(f"three-edge path needs k >= 3, got {k}")
-    # chain layout: end0, fill(1,*), cut0, fill(2,*), cut1, fill(3,*), end1
-    interior = {(i, j): 1 + i * (k - 1) + j for i in range(3) for j in range(k - 2)}
-    cut0 = k - 1
-    cut1 = 2 * (k - 1)
-    end1 = 3 * (k - 1)
-    edges = [
-        [0] + [interior[0, j] for j in range(k - 2)] + [cut0],
-        [cut0] + [interior[1, j] for j in range(k - 2)] + [cut1],
-        [cut1] + [interior[2, j] for j in range(k - 2)] + [end1],
-    ]
-    h = Hypergraph(3 * (k - 1) + 1, edges)
-    return h, PathLabeling(ends=(0, end1), cuts=(cut0, cut1), interior=interior)
+    edges = [range(i * (k - 1), (i + 1) * (k - 1) + 1) for i in range(3)]
+    return Hypergraph(3 * (k - 1) + 1, edges)
 
 
 def g_star_star(k: int) -> Hypergraph:
-    """Two-edge ring plus one pendant edge at a filler vertex of the ring;
-    order 3(k-1)."""
+    """Two-edge ring plus one pendant edge at the filler vertex 2 of ring
+    edge 0; order 3(k-1)."""
     if k < 3:
         raise HypergraphError(f"needs k >= 3, got {k}")
-    base, labeling = cycle(2, k)
-    grown, _ = _attach_pendants(base, [(labeling.auxiliary[0, 0], 1)], k)
-    return grown
+    return _ring(2, k, (0, 0, 1))
 
 
 def fano_plane() -> Hypergraph:
@@ -265,16 +225,6 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-def _ring_with_slot_pendants(m: int, k: int, slot_counts: tuple[int, ...]) -> Hypergraph:
-    """Ring of m k-edges with slot_counts[v] pendant edges at ring-graph
-    vertex v (vertex order: ring vertices then fillers)."""
-    base, _ = cycle(m, k)
-    grown, _ = _attach_pendants(
-        base, [(v, c) for v, c in enumerate(slot_counts) if c], k
-    )
-    return grown
-
-
 def unicyclic_catalog(n_over: int, k: int) -> list[CatalogEntry]:
     """Deterministic catalog of unicyclic shapes of order (k-1)*n_over.
 
@@ -292,29 +242,21 @@ def unicyclic_catalog(n_over: int, k: int) -> list[CatalogEntry]:
     min_m = 3 if k == 2 else 2
     for m in range(min_m, n_over + 1):
         for comp in compositions(n_over - m, m):
-            entries.append(CatalogEntry(cm_label(k, comp), unicyclic_cm(k, list(comp))[0]))
+            entries.append(CatalogEntry(cm_label(k, comp), _ring(m, k, comp)))
     if k > 2:
         for m in range(min_m, n_over + 1):
-            slots = m * (k - 1)
-            for comp in compositions(n_over - m, slots):
-                if not any(comp[m:]):
-                    continue  # pure ring-vertex placements already emitted
-                entries.append(
-                    CatalogEntry(cm_label(k, comp, m), _ring_with_slot_pendants(m, k, comp))
-                )
+            for comp in compositions(n_over - m, m * (k - 1)):
+                if any(comp[m:]):  # pure ring-vertex placements already emitted
+                    entries.append(CatalogEntry(cm_label(k, comp, m), _ring(m, k, comp)))
     for m in range(min_m, n_over):
         for comp in compositions(n_over - m - 1, m):
-            if not any(comp):
-                continue
-            base_label = cm_label(k, comp)
-            h, labeling = unicyclic_cm(k, list(comp))
             for i in range(m):
-                if comp[i] == 0:
-                    continue
-                first_edge = labeling.pendant_map[i][0]
-                outer = min(v for v in first_edge if v != i)
-                grown, _ = _attach_pendants(h, [(outer, 1)], k)
-                entries.append(CatalogEntry(f"{base_label}+deep@{i}", grown))
+                if comp[i]:
+                    # the first vertex of the first pendant edge at ring vertex i
+                    outer = (k - 1) * (m + sum(comp[:i]))
+                    counts = comp + (0,) * (outer - m) + (1,)
+                    label = f"{cm_label(k, comp)}+deep@{i}"
+                    entries.append(CatalogEntry(label, _ring(m, k, counts)))
     return entries
 
 
@@ -333,10 +275,10 @@ def cm_label(k: int, pendants: tuple[int, ...], ring: int | None = None) -> str:
 _FAMILIES = {
     "complete": (2, complete_uniform),
     "edgeless": (1, edgeless),
-    "cycle": (2, lambda m, k: cycle(m, k)[0]),
-    "xn": (2, lambda n, k: x_n(n, k)[0]),
+    "cycle": (2, cycle),
+    "xn": (2, x_n),
     "star": (2, hyperstar),
-    "p3": (1, lambda k: path_p3(k)[0]),
+    "p3": (1, path_p3),
     "gss": (1, g_star_star),
     "fano": (0, fano_plane),
 }
@@ -373,7 +315,7 @@ def build_family(text: str) -> Hypergraph:
         pendants = _ints(pendant_text, text)
         if len(pendants) < 2:
             raise FamilyGrammarError(f"{text}: cm needs at least two pendant counts")
-        return unicyclic_cm(k[0], list(pendants))[0]
+        return unicyclic_cm(k[0], list(pendants))
     if head not in _FAMILIES:
         raise FamilyGrammarError(f"unknown family {head!r} at position 1 of {text!r}")
     arity, builder = _FAMILIES[head]

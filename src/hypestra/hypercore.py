@@ -9,7 +9,6 @@ Hypergraphs are immutable; every operation returns a new value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
 
@@ -299,32 +298,6 @@ def diameter(h: Hypergraph) -> int:
     if np.any(dist < 0):
         raise DisconnectedError("diameter is undefined for a disconnected hypergraph")
     return int(dist.max())
-
-
-@dataclass(frozen=True)
-class FamilyLabeling:
-    """Vertex roles for a generated ring-based family.
-
-    ``cycle_vertices[i]`` is the i-th ring vertex (0-based); ring edge i
-    joins ring vertices i and (i+1) mod m.  ``auxiliary[(i, j)]`` is the
-    j-th filler vertex of ring edge i.  ``pendant_map`` sends a ring
-    vertex to the pendant edges attached there, each a sorted tuple.
-    """
-
-    cycle_vertices: tuple[int, ...]
-    auxiliary: dict[tuple[int, int], int] = field(default_factory=dict)
-    pendant_map: dict[int, tuple[Edge, ...]] = field(default_factory=dict)
-
-    @property
-    def m(self) -> int:
-        return len(self.cycle_vertices)
-
-    def ring_edge(self, i: int, k: int) -> Edge:
-        """Ring edge i as a sorted vertex tuple, for a k-uniform ring."""
-        m = self.m
-        members = [self.cycle_vertices[i], self.cycle_vertices[(i + 1) % m]]
-        members += [self.auxiliary[i, j] for j in range(k - 2)]
-        return tuple(sorted(members))
 
 
 # --- file formats ----------------------------------------------------------

@@ -121,12 +121,16 @@ def adjacency(h: Hypergraph) -> np.ndarray:
 def as_symmetric(matrix) -> np.ndarray:
     """Validate a square, finite, exactly symmetric real matrix and return
     it as a read-only array: int64 for integer input, float otherwise.
+    Complex input is refused, not cast (a cast would drop the imaginary
+    part).
 
     The symmetric eigenvalue driver reads one triangle only and would
     return wrong values for an asymmetric matrix without raising, so every
     public function that takes an arbitrary matrix checks it here.
     """
     a = np.asarray(matrix)
+    if a.dtype.kind == "c":
+        raise ValueError("matrix entries must be real, got complex input")
     a = a.astype(np.int64 if a.dtype.kind in "iub" else float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")

@@ -542,19 +542,17 @@ def _pair(left: str, right: str) -> _Sides:
     return left, fam.build_family(left), right, fam.build_family(right)
 
 
-def ring_reduction(h: Hypergraph, labeling, k: int) -> Hypergraph:
+def ring_reduction(h: Hypergraph, m: int, k: int) -> Hypergraph:
     """Shrink ring vertex 0 out of the last ring edge, then re-attach the
-    shortened edge at ring vertex 2.  Turns a ring of m >= 4 edges into a
-    ring of m - 2 edges with a two-edge tail."""
-    m = labeling.m
+    shortened edge at ring vertex 2.  Turns a ring of m >= 4 edges, in the
+    ``families`` vertex layout, into a ring of m - 2 edges with a
+    two-edge tail."""
     if m < 4:
         raise HypergraphError(f"ring reduction needs m >= 4, got {m}")
-    last_edge = labeling.ring_edge(m - 1, k)
-    v1 = labeling.cycle_vertices[0]
-    v3 = labeling.cycle_vertices[2]
-    shrunk = shrink(h, v1, h.edge_index(last_edge))
-    stub = tuple(w for w in last_edge if w != v1)
-    return extend_edge(shrunk, shrunk.edge_index(stub), v3)
+    # the last ring edge less ring vertex 0: ring vertex m-1 and its fillers
+    stub = (m - 1, *range(m * (k - 1) - (k - 2), m * (k - 1)))
+    shrunk = shrink(h, 0, h.edge_index((0, *stub)))
+    return extend_edge(shrunk, shrunk.edge_index(stub), 2)
 
 
 def _lemma26_sides(k: int, size_budget: int) -> list[_Sides]:
@@ -566,10 +564,9 @@ def _lemma26_sides(k: int, size_budget: int) -> list[_Sides]:
             for comp in fam.compositions(s, m):
                 if comp[2] != max(comp):
                     continue
-                h, labeling = fam.unicyclic_cm(k, list(comp))
-                reduced = ring_reduction(h, labeling, k)
+                h = fam.unicyclic_cm(k, list(comp))
                 label = fam.cm_label(k, comp)
-                out.append((label, h, label + "->reduced", reduced))
+                out.append((label, h, label + "->reduced", ring_reduction(h, m, k)))
             s += 1
         m += 1
     return out
@@ -733,45 +730,37 @@ def verify_extremal(n_over: int, k: int) -> ExtremalReport:
     catalog = fam.unicyclic_catalog(n_over, k)
     spectra = spectra_of(entry.hypergraph for entry in catalog)
     by_value = sorted(
-        (
-            (entry.label, estrada_index(spectrum), entry.hypergraph)
-            for entry, spectrum in zip(catalog, spectra)
-        ),
+        ((entry.label, estrada_index(spectrum)) for entry, spectrum in zip(catalog, spectra)),
         key=lambda item: -item[1],
     )
     # ties within tolerance (isomorphic entries differ in the last bits)
     # share their group's leading value and rank by label, so neither the
     # order nor the reported values depend on solver noise
-    groups: list[list[tuple[str, float, Hypergraph]]] = []
-    for label, ee, hg in by_value:
+    groups: list[list[tuple[str, float]]] = []
+    for label, ee in by_value:
         if groups and groups[-1][0][1] - ee <= 1e-9 * max(1.0, abs(ee)):
-            groups[-1].append((label, groups[-1][0][1], hg))
+            groups[-1].append((label, groups[-1][0][1]))
         else:
-            groups.append([(label, ee, hg)])
-    groups = [sorted(group, key=lambda item: item[0]) for group in groups]
-    scored = [item for group in groups for item in group]
+            groups.append([(label, ee)])
+    groups = [sorted(group) for group in groups]
     expected_max_label = fam.cm_label(k, (n_over - 2, 0))
-    expected_max = fam.build_family(expected_max_label)
     if n_over >= 4:
         expected_second_label = fam.cm_label(k, (n_over - 3, 1))
-        expected_second = fam.build_family(expected_second_label)
     else:
-        # G** hangs the extra edge on a ring filler; its catalog label is
-        # report-only, so the shape is built from its grammar label
+        # G**: the extra edge hangs on the filler vertex 2 of ring edge 0
         expected_second_label = fam.cm_label(k, (0, 0, 1) + (0,) * (2 * (k - 1) - 3), 2)
-        expected_second = fam.build_family(f"gss:{k}")
     if len(groups) < 2:
         raise HypergraphError(
             f"catalog for n_over={n_over}, k={k} has a single Estrada value"
         )
-    max_group, second_group = groups[0], groups[1]
-    max_hypergraphs = [hg for _, _, hg in max_group]
-    second_hypergraphs = [hg for _, _, hg in second_group]
-    max_is_expected = expected_max in max_hypergraphs
-    second_is_expected = expected_second in second_hypergraphs
+    max_labels = tuple(label for label, _ in groups[0])
+    second_labels = tuple(label for label, _ in groups[1])
+    max_is_expected = expected_max_label in max_labels
+    second_is_expected = expected_second_label in second_labels
     max_unique = len(groups) > 1
-    diameter_max = diameter(max_group[0][2])
-    diameter_second = diameter(second_group[0][2])
+    shapes = dict(catalog)
+    diameter_max = diameter(shapes[max_labels[0]])
+    diameter_second = diameter(shapes[second_labels[0]])
     diameters_expected = (
         (diameter_max, diameter_second) == (2, 3) if n_over >= 4 else True
     )
@@ -779,9 +768,9 @@ def verify_extremal(n_over: int, k: int) -> ExtremalReport:
         n_over=n_over,
         k=k,
         n=(k - 1) * n_over,
-        ranking=tuple((label, ee) for label, ee, _ in scored),
-        max_labels=tuple(label for label, _, _ in max_group),
-        second_labels=tuple(label for label, _, _ in second_group),
+        ranking=tuple(item for group in groups for item in group),
+        max_labels=max_labels,
+        second_labels=second_labels,
         expected_max_label=expected_max_label,
         expected_second_label=expected_second_label,
         max_is_expected=max_is_expected,

@@ -23,23 +23,23 @@ def family_fixtures() -> list[tuple[str, Hypergraph, int]]:
     return [
         ("single-edge-k3", complete_uniform(3, 3), 3),
         ("edgeless-5", edgeless(5), 3),
-        ("cycle-2-3", cycle(2, 3)[0], 3),
-        ("cycle-3-3", cycle(3, 3)[0], 3),
+        ("cycle-2-3", cycle(2, 3), 3),
+        ("cycle-3-3", cycle(3, 3), 3),
         ("complete-4-3", complete_uniform(4, 3), 3),
         ("complete-5-3", complete_uniform(5, 3), 3),
-        ("x6", unicyclic_cm(3, [1, 0])[0], 3),
-        ("c2-2-0", unicyclic_cm(3, [2, 0])[0], 3),
-        ("c2-1-1", unicyclic_cm(3, [1, 1])[0], 3),
-        ("c2-3-1", unicyclic_cm(3, [3, 1])[0], 3),
-        ("c3-2-1-0", unicyclic_cm(3, [2, 1, 0])[0], 3),
+        ("x6", unicyclic_cm(3, [1, 0]), 3),
+        ("c2-2-0", unicyclic_cm(3, [2, 0]), 3),
+        ("c2-1-1", unicyclic_cm(3, [1, 1]), 3),
+        ("c2-3-1", unicyclic_cm(3, [3, 1]), 3),
+        ("c3-2-1-0", unicyclic_cm(3, [2, 1, 0]), 3),
         ("gss-3", g_star_star(3), 3),
-        ("p3-3", path_p3(3)[0], 3),
+        ("p3-3", path_p3(3), 3),
         ("star-3-2", hyperstar(3, 2), 3),
         ("fano", fano_plane(), 3),
-        ("cycle-2-4", cycle(2, 4)[0], 4),
+        ("cycle-2-4", cycle(2, 4), 4),
         ("star-4-2", hyperstar(4, 2), 4),
         ("path-graph-4", Hypergraph(4, [(0, 1), (1, 2), (2, 3)]), 2),
-        ("cycle-5-2", cycle(5, 2)[0], 2),
+        ("cycle-5-2", cycle(5, 2), 2),
         ("star-2-3", hyperstar(2, 3), 2),
     ]
 

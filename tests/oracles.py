@@ -173,3 +173,39 @@ def charpoly_eval(coeffs: list[Fraction], x: float) -> float:
     for c in coeffs:
         value = value * x + float(c)
     return value
+
+
+def catalog_shape(label: str) -> Hypergraph:
+    """Unicyclic catalog entry rebuilt edge by edge from its label.
+
+    ``cm:k:n0,...,n(m-1)`` puts n_i pendant edges on ring vertex i;
+    ``cmx:k:m:c0,c1,...`` puts c_v pendant edges on vertex v, counting
+    the m ring vertices first and then the ring fillers; a trailing
+    ``+deep@i`` hangs one more pendant edge on the first new vertex of
+    the first pendant edge at ring vertex i.  Vertices are numbered in
+    the order they are made: ring vertices, the fillers of each ring
+    edge in turn, then each pendant edge's k - 1 new vertices.
+    """
+    base, _, deep = label.partition("+deep@")
+    head, k_text, *rest = base.split(":")
+    k = int(k_text)
+    counts = [int(c) for c in rest[-1].split(",")]
+    m = int(rest[0]) if head == "cmx" else len(counts)
+    made = m
+
+    def fresh(count: int) -> list[int]:
+        nonlocal made
+        made += count
+        return list(range(made - count, made))
+
+    edges = [[i, (i + 1) % m] + fresh(k - 2) for i in range(m)]
+    first_pendant = {}
+    for v, count in enumerate(counts):
+        for _ in range(count):
+            edges.append([v] + fresh(k - 1))
+            first_pendant.setdefault(v, edges[-1])
+    if deep:
+        i = int(deep)
+        hub = first_pendant[i][1]
+        edges.append([hub] + fresh(k - 1))
+    return Hypergraph(made, edges)

@@ -137,7 +137,7 @@ class TestSpectrum:
         generated = tmp_path / "gen.txt"
         run(capsys, "gen", "cm:3:1,0", "--out", str(generated))
         handwritten = tmp_path / "hand.txt"
-        handwritten.write_text(to_text(unicyclic_cm(3, [1, 0])[0]))
+        handwritten.write_text(to_text(unicyclic_cm(3, [1, 0])))
         _, out_a, _ = run(capsys, "spectrum", str(generated))
         _, out_b, _ = run(capsys, "spectrum", str(handwritten))
         assert out_a == out_b

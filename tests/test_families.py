@@ -30,6 +30,7 @@ from hypestra import (
     uniformity,
     x_n,
 )
+from oracles import catalog_shape
 
 
 def _ee(h):
@@ -57,13 +58,12 @@ class TestCompleteAndEdgeless:
 
 class TestCycle:
     def test_two_ring(self):
-        h, labeling = cycle(2, 3)
+        h = cycle(2, 3)
+        # ring vertices 0 and 1; filler 2 on ring edge 0, filler 3 on ring edge 1
         assert h == Hypergraph(4, [(0, 1, 2), (0, 1, 3)])
-        assert labeling.cycle_vertices == (0, 1)
-        assert labeling.auxiliary == {(0, 0): 2, (1, 0): 3}
 
     def test_three_ring_degrees(self):
-        h, _ = cycle(3, 3)
+        h = cycle(3, 3)
         assert h.n == 6
         assert h.m == 3
         assert degrees(h).tolist() == [2, 2, 2, 1, 1, 1]
@@ -73,7 +73,7 @@ class TestCycle:
             cycle(2, 2)
 
     def test_graph_cycle(self):
-        h, _ = cycle(5, 2)
+        h = cycle(5, 2)
         assert h.n == 5
         assert degrees(h).tolist() == [2] * 5
 
@@ -81,33 +81,33 @@ class TestCycle:
         for m, k in [(2, 3), (3, 3), (4, 4), (5, 2)]:
             if (m, k) == (2, 2):
                 continue
-            h, labeling = cycle(m, k)
+            h = cycle(m, k)
             for i in range(m):
-                edge = labeling.ring_edge(i, k)
+                fillers = range(m + i * (k - 2), m + (i + 1) * (k - 2))
+                edge = tuple(sorted([i, (i + 1) % m, *fillers]))
                 assert edge in h.edges
-                assert labeling.cycle_vertices[i] in edge
-                assert labeling.cycle_vertices[(i + 1) % m] in edge
+                assert i in edge
+                assert (i + 1) % m in edge
 
 
 class TestUnicyclic:
     def test_x6(self):
-        h, labeling = unicyclic_cm(3, [1, 0])
+        h = unicyclic_cm(3, [1, 0])
         assert h.n == 6
         assert h.m == 3
-        assert labeling.pendant_map[0] == ((0, 4, 5),)
+        assert (0, 4, 5) in h.edges
 
     def test_x12_shape(self):
-        h, _ = x_n(12, 3)
-        assert h == unicyclic_cm(3, [4, 0])[0]
+        h = x_n(12, 3)
+        assert h == unicyclic_cm(3, [4, 0])
         assert h.n == 12
         assert h.m == 6
 
     def test_figure_shape_c3_2_1_0(self):
-        h, labeling = unicyclic_cm(3, [2, 1, 0])
+        h = unicyclic_cm(3, [2, 1, 0])
         assert h.n == 12
         assert h.m == 6
-        assert len(labeling.pendant_map[0]) == 2
-        assert len(labeling.pendant_map[1]) == 1
+        assert {(0, 6, 7), (0, 8, 9), (1, 10, 11)} <= set(h.edges)
 
     def test_order_formula(self):
         rng = random.Random(3)
@@ -117,7 +117,7 @@ class TestUnicyclic:
             if m == 2 and k == 2:
                 continue
             pendants = [rng.randint(0, 2) for _ in range(m)]
-            h, _ = unicyclic_cm(k, pendants)
+            h = unicyclic_cm(k, pendants)
             assert h.n == (k - 1) * (m + sum(pendants))
             assert h.m == m + sum(pendants)
             assert is_k_uniform(h, k)
@@ -143,11 +143,11 @@ class TestStarPathGss:
         assert h == Hypergraph(4, [(0, 1), (0, 2), (0, 3)])
 
     def test_path_degrees(self):
-        h, labeling = path_p3(3)
+        h = path_p3(3)
         assert h.n == 7
         d = degrees(h)
-        assert d[labeling.cuts[0]] == 2
-        assert d[labeling.cuts[1]] == 2
+        assert d[2] == 2
+        assert d[4] == 2
         assert sum(d) == 9
         assert sorted(d.tolist()) == [1, 1, 1, 1, 1, 2, 2]
 
@@ -162,8 +162,8 @@ class TestStarPathGss:
         assert degrees(h)[2] == 2  # the filler vertex carrying the extra edge
 
     def test_gss_orderings(self):
-        assert _ee(cycle(3, 3)[0]) < _ee(g_star_star(3))
-        assert _ee(g_star_star(3)) < _ee(unicyclic_cm(3, [1, 0])[0])
+        assert _ee(cycle(3, 3)) < _ee(g_star_star(3))
+        assert _ee(g_star_star(3)) < _ee(unicyclic_cm(3, [1, 0]))
 
 
 class TestBIBD:
@@ -177,7 +177,7 @@ class TestBIBD:
         assert cert.r == 6
 
     def test_two_ring_is_not_balanced(self):
-        assert bibd_validate(cycle(2, 3)[0]) is None
+        assert bibd_validate(cycle(2, 3)) is None
 
     def test_non_uniform_rejected(self):
         with pytest.raises(HypergraphError, match="uniform"):
@@ -208,13 +208,13 @@ class TestCatalog:
     def test_smallest_catalog_is_the_plain_ring(self):
         entries = unicyclic_catalog(2, 3)
         assert [e.label for e in entries] == ["cm:3:0,0"]
-        assert entries[0].hypergraph == cycle(2, 3)[0]
+        assert entries[0].hypergraph == cycle(2, 3)
 
     def test_three_over_contains_figure_shapes(self):
         entries = unicyclic_catalog(3, 3)
         shapes = {e.hypergraph for e in entries}
-        assert unicyclic_cm(3, [1, 0])[0] in shapes
-        assert cycle(3, 3)[0] in shapes
+        assert unicyclic_cm(3, [1, 0]) in shapes
+        assert cycle(3, 3) in shapes
         assert g_star_star(3) in shapes
 
     def test_four_over_contents(self):
@@ -239,8 +239,18 @@ class TestCatalog:
     def test_catalog_contains_expected_extremes(self):
         for n_over in (4, 5, 6):
             shapes = {e.hypergraph for e in unicyclic_catalog(n_over, 3)}
-            assert unicyclic_cm(3, [n_over - 2, 0])[0] in shapes
-            assert unicyclic_cm(3, [n_over - 3, 1])[0] in shapes
+            assert unicyclic_cm(3, [n_over - 2, 0]) in shapes
+            assert unicyclic_cm(3, [n_over - 3, 1]) in shapes
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_entries_match_their_labels(self, k):
+        # pins the vertex layout of every label kind, not just the shape
+        kinds = set()
+        for n_over in range(2, 8):
+            for entry in unicyclic_catalog(n_over, k):
+                assert entry.hypergraph == catalog_shape(entry.label), entry.label
+                kinds.add("deep" if "+deep@" in entry.label else entry.label.split(":")[0])
+        assert kinds == {"cm", "cmx", "deep"}
 
     def test_deterministic_order(self):
         first = [e.label for e in unicyclic_catalog(4, 3)]
@@ -280,11 +290,11 @@ class TestGrammar:
         [
             ("complete:4,3", lambda: complete_uniform(4, 3)),
             ("edgeless:5", lambda: edgeless(5)),
-            ("cycle:2,3", lambda: cycle(2, 3)[0]),
-            ("cm:3:4,0", lambda: unicyclic_cm(3, [4, 0])[0]),
-            ("xn:12,3", lambda: x_n(12, 3)[0]),
+            ("cycle:2,3", lambda: cycle(2, 3)),
+            ("cm:3:4,0", lambda: unicyclic_cm(3, [4, 0])),
+            ("xn:12,3", lambda: x_n(12, 3)),
             ("star:3,2", lambda: hyperstar(3, 2)),
-            ("p3:3", lambda: path_p3(3)[0]),
+            ("p3:3", lambda: path_p3(3)),
             ("gss:3", lambda: g_star_star(3)),
             ("fano", fano_plane),
         ],

@@ -59,7 +59,7 @@ class TestAdjacency:
         assert np.array_equal(a, expected)
 
     def test_two_ring_pattern(self):
-        a = adjacency(cycle(2, 3)[0])
+        a = adjacency(cycle(2, 3))
         expected = np.array(
             [[0, 2, 1, 1], [2, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]], dtype=float
         )
@@ -82,7 +82,7 @@ class TestAdjacency:
         assert np.array_equal(a, expected)
 
     def test_read_only_int64(self):
-        a = adjacency(cycle(2, 3)[0])
+        a = adjacency(cycle(2, 3))
         assert a.dtype == np.int64
         with pytest.raises(ValueError):
             a[0, 1] = 5
@@ -95,6 +95,13 @@ class TestAdjacency:
             eigendecompose([[0.0, math.inf], [math.inf, 0.0]])
         with pytest.raises(ValueError, match="square"):
             eigendecompose(np.zeros((2, 3)))
+
+    def test_complex_input_rejected(self):
+        # a cast to float would keep only the real part: [0, 0], not [1, -1]
+        with pytest.raises(ValueError, match="real"):
+            eigendecompose([[0, 1j], [-1j, 0]])
+        with pytest.raises(ValueError, match="real"):
+            eigendecompose(np.eye(2, dtype=complex))
 
 
 class TestStackedSpectra:
@@ -154,7 +161,7 @@ class TestStackedSpectra:
             return solve(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        spectra_of([cycle(2, 3)[0]] * 9 + [edgeless(5)] * 4 + [complete_uniform(4, 3)])
+        spectra_of([cycle(2, 3)] * 9 + [edgeless(5)] * 4 + [complete_uniform(4, 3)])
         assert sorted(calls) == [(2, 4, 4), (4, 4, 4), (4, 4, 4), (4, 5, 5)]
 
 
@@ -203,14 +210,14 @@ class TestKnownSpectra:
         assert np.allclose(values, [2, -1, -1], atol=1e-12)
 
     def test_two_ring_analytic(self):
-        spectrum = spectrum_of(cycle(2, 3)[0])
+        spectrum = spectrum_of(cycle(2, 3))
         expected = [GOLDEN, 0.0, 1 - math.sqrt(5), -2.0]
         assert np.allclose(spectrum.eigenvalues, expected, atol=1e-9)
 
     def test_two_ring_charpoly(self):
         # exact characteristic polynomial x^4 - 8x^2 - 8x, checked by an
         # independent rational recurrence, certifies the analytic roots
-        coeffs = charpoly(adjacency(cycle(2, 3)[0]).tolist())
+        coeffs = charpoly(adjacency(cycle(2, 3)).tolist())
         assert [float(c) for c in coeffs] == [1.0, 0.0, -8.0, -8.0, 0.0]
         for root in (GOLDEN, 0.0, 1 - math.sqrt(5), -2.0):
             assert abs(charpoly_eval(coeffs, root)) < 1e-9
@@ -233,7 +240,7 @@ class TestSpectrumStatistics:
             ), name
 
     def test_two_ring_moment2(self):
-        assert spectral_moment(spectrum_of(cycle(2, 3)[0]), 2) == pytest.approx(16.0, abs=1e-8)
+        assert spectral_moment(spectrum_of(cycle(2, 3)), 2) == pytest.approx(16.0, abs=1e-8)
 
     def test_moments_match_exact_traces(self, small_fixtures):
         for name, h, _ in small_fixtures:
@@ -271,13 +278,13 @@ class TestSpectrumStatistics:
     def test_energy_examples(self):
         assert energy(spectrum_of(edgeless(4))) == 0.0
         assert energy(spectrum_of(Hypergraph(3, [(0, 1, 2)]))) == pytest.approx(4.0, abs=1e-10)
-        assert energy(spectrum_of(cycle(2, 3)[0])) == pytest.approx(2 * GOLDEN, abs=1e-10)
+        assert energy(spectrum_of(cycle(2, 3))) == pytest.approx(2 * GOLDEN, abs=1e-10)
 
     def test_negative_count_examples(self):
         assert negative_count(spectrum_of(edgeless(4))) == 0
         assert negative_count(spectrum_of(Hypergraph(3, [(0, 1, 2)]))) == 2
         # the exact zero eigenvalue classifies as zero, not negative
-        spectrum = spectrum_of(cycle(2, 3)[0])
+        spectrum = spectrum_of(cycle(2, 3))
         assert negative_count(spectrum) == 2
         assert positive_count(spectrum) == 1
 
@@ -296,7 +303,7 @@ class TestSpectrumStatistics:
         assert clusters[0][1] == 1
         assert clusters[1][0] == pytest.approx(-2.0, abs=1e-10)
         assert clusters[1][1] == 3
-        assert len(distinct_eigenvalues(spectrum_of(cycle(2, 3)[0]))) == 4
+        assert len(distinct_eigenvalues(spectrum_of(cycle(2, 3)))) == 4
 
     def test_multiplicities_sum(self, fixtures):
         for name, h, _ in fixtures:
@@ -313,7 +320,7 @@ class TestSpectrumStatistics:
             assert spectrum.lambda1 >= abs(float(spectrum.eigenvalues[-1])) - 1e-9, name
 
     def test_summary_consistency(self):
-        spectrum = spectrum_of(cycle(2, 3)[0])
+        spectrum = spectrum_of(cycle(2, 3))
         s = summarize(spectrum)
         assert s.lambda1 == pytest.approx(GOLDEN, abs=1e-10)
         assert s.negative_count == 2
@@ -333,7 +340,7 @@ class TestWalks:
         assert walk_count(Hypergraph(3, [(0, 1, 2)]), 0, 0, 2) == 2
 
     def test_two_ring_multiplicity(self):
-        assert walk_count(cycle(2, 3)[0], 0, 1, 1) == 2
+        assert walk_count(cycle(2, 3), 0, 1, 1) == 2
 
     def test_length_zero(self):
         h = Hypergraph(3, [(0, 1, 2)])
@@ -350,7 +357,7 @@ class TestWalks:
                         assert walk_count(h, v, u, s) == expected, (name, u, v, s)
 
     def test_closed_walk_counts_match_powers(self):
-        h = unicyclic_cm(3, [1, 0])[0]
+        h = unicyclic_cm(3, [1, 0])
         counts = closed_walk_counts(h, 0, 6)
         assert counts == [walk_count(h, 0, 0, s) for s in range(1, 7)]
 
@@ -417,7 +424,7 @@ class TestWalks:
                 assert s.moments == tuple(trace_power(adjacency(h), t) for t in range(9)), name
             assert summarize(spectrum).closed_walks == (), name
         with pytest.raises(ValueError):
-            summarize(spectrum_of(cycle(2, 3)[0]), 8, -1)
+            summarize(spectrum_of(cycle(2, 3)), 8, -1)
         with pytest.raises(ValueError):
             summarize(eigendecompose(np.diag([1.5, -0.5])), 2, 2)
 
@@ -431,19 +438,17 @@ class TestWalks:
 
 class TestWalkDominance:
     def test_same_vertex_equal(self):
-        h = cycle(2, 3)[0]
+        h = cycle(2, 3)
         assert walk_dominance(h, 1, 1, 6) == "equal"
 
     def test_symmetric_vertices_equal(self):
-        assert walk_dominance(cycle(2, 3)[0], 2, 3, 8) == "equal"
+        assert walk_dominance(cycle(2, 3), 2, 3, 8) == "equal"
 
     def test_pendant_below_its_ring_vertex(self):
-        h, labeling = unicyclic_cm(3, [1, 0])
-        pendant_vertex = min(
-            v for v in labeling.pendant_map[0][0] if v != labeling.cycle_vertices[0]
-        )
-        assert walk_dominance(h, pendant_vertex, labeling.cycle_vertices[0], 8) == "strict"
-        assert walk_dominance(h, labeling.cycle_vertices[0], pendant_vertex, 8) == "weak"
+        h = unicyclic_cm(3, [1, 0])
+        pendant_vertex = 4  # on the pendant edge (0, 4, 5) at ring vertex 0
+        assert walk_dominance(h, pendant_vertex, 0, 8) == "strict"
+        assert walk_dominance(h, 0, pendant_vertex, 8) == "weak"
 
     def test_classification_matches_definition(self):
         rng = random.Random(5)
@@ -468,7 +473,7 @@ class TestWalkDominance:
 
 class TestMonotonicity:
     def test_estrada_increases_with_any_edge(self):
-        h = cycle(2, 3)[0]
+        h = cycle(2, 3)
         base = estrada_index(spectrum_of(h))
         from itertools import combinations
 
@@ -493,14 +498,14 @@ class TestExports:
         assert format_float(0.5 + 1e-15) == "0.500000000000"
 
     def test_csv_shape(self):
-        text = spectrum_to_csv(spectrum_of(cycle(2, 3)[0]))
+        text = spectrum_to_csv(spectrum_of(cycle(2, 3)))
         lines = text.strip().split("\n")
         assert lines[0] == "eigenvalue"
         assert lines[1] == "3.23606797750"
         assert lines[-1] == "-2"
 
     def test_summary_dict_keys(self):
-        payload = summary_to_dict(spectrum_of(cycle(2, 3)[0]))
+        payload = summary_to_dict(spectrum_of(cycle(2, 3)))
         assert payload["n"] == 4
         assert payload["negative_count"] == 2
         assert payload["moments"][2] == pytest.approx(16.0)

@@ -65,7 +65,7 @@ class TestSumLargestMatrix:
         assert report.holds and report.equality
 
     def test_two_ring_values(self):
-        report = check_sum_t_largest_matrix(adjacency(cycle(2, 3)[0]), 2)
+        report = check_sum_t_largest_matrix(adjacency(cycle(2, 3)), 2)
         assert report.lhs == pytest.approx(GOLDEN, abs=1e-9)
         assert report.rhs == pytest.approx(4 / 5 * (2 + math.sqrt(10)) * 2, abs=1e-9)
         assert report.holds and not report.equality
@@ -80,16 +80,16 @@ class TestSumLargestMatrix:
         assert report.holds
 
     def test_variant_comparison_recorded(self):
-        report = check_sum_t_largest_matrix(adjacency(cycle(2, 3)[0]), 2)
+        report = check_sum_t_largest_matrix(adjacency(cycle(2, 3)), 2)
         assert report.extra["rhs_theta_plus_one"] < report.extra["rhs_as_written"]
         assert report.extra["tighter_variant"] == THETA_PLUS_ONE
         assert report.extra["tau_lhs"] == pytest.approx(report.lhs / 4)
 
     def test_t_out_of_range(self):
         with pytest.raises(ValueError):
-            check_sum_t_largest_matrix(adjacency(cycle(2, 3)[0]), 1)
+            check_sum_t_largest_matrix(adjacency(cycle(2, 3)), 1)
         with pytest.raises(ValueError):
-            check_sum_t_largest_matrix(adjacency(cycle(2, 3)[0]), 5)
+            check_sum_t_largest_matrix(adjacency(cycle(2, 3)), 5)
 
     def test_negative_entry_matrix(self):
         m = np.array([[0.0, -1.0], [-1.0, 0.0]])
@@ -99,11 +99,17 @@ class TestSumLargestMatrix:
     def test_asymmetric_matrix_rejected(self):
         # checked even when a spectrum is supplied: the solver would read
         # one triangle and never notice
-        spectrum = spectrum_of(cycle(2, 3)[0])
-        lopsided = np.array(adjacency(cycle(2, 3)[0]))
+        spectrum = spectrum_of(cycle(2, 3))
+        lopsided = np.array(adjacency(cycle(2, 3)))
         lopsided[0, 3] = 5
         with pytest.raises(ValueError, match="symmetric"):
             check_sum_t_largest_matrix(lopsided, 2, spectrum=spectrum)
+
+    def test_complex_matrix_rejected(self):
+        hermitian = np.array(adjacency(cycle(2, 3)), dtype=complex)
+        hermitian[0, 2], hermitian[2, 0] = 1j, -1j
+        with pytest.raises(ValueError, match="real"):
+            check_sum_t_largest_matrix(hermitian, 2)
 
 
 class TestSumLargestHypergraph:
@@ -113,7 +119,7 @@ class TestSumLargestHypergraph:
         assert report.equality
 
     def test_two_ring(self):
-        report = check_sum_t_largest_hypergraph(cycle(2, 3)[0], 2)
+        report = check_sum_t_largest_hypergraph(cycle(2, 3), 2)
         assert report.lhs == pytest.approx(GOLDEN, abs=1e-9)
         assert report.rhs == pytest.approx(8 / 5 * (2 + math.sqrt(10)), abs=1e-9)
 
@@ -145,7 +151,7 @@ class TestMoment2:
         assert upper.rhs == 6.0 and upper.equality
 
     def test_two_ring(self):
-        lower, upper = check_moment2_bounds(cycle(2, 3)[0])
+        lower, upper = check_moment2_bounds(cycle(2, 3))
         assert lower.lhs == 12.0
         assert lower.rhs == pytest.approx(16.0, abs=1e-8)
         assert not lower.equality
@@ -182,14 +188,14 @@ class TestEstradaBounds:
         assert eq.rhs == 5.0 and eq.equality
         single = check_ee_upper_edges(Hypergraph(3, [(0, 1, 2)]))
         assert single.rhs == pytest.approx(2 + math.exp(math.sqrt(6)), abs=1e-9)
-        ring = check_ee_upper_edges(cycle(2, 3)[0])
+        ring = check_ee_upper_edges(cycle(2, 3))
         assert ring.rhs == pytest.approx(3 + math.exp(4), abs=1e-9)
 
     def test_energy_upper_examples(self):
         refined, coarse = check_ee_upper_energy(edgeless(5), k=3)
         assert refined.rhs == 5.0 and refined.equality
         assert coarse.rhs == 5.0 and coarse.equality
-        refined, coarse = check_ee_upper_energy(cycle(2, 3)[0])
+        refined, coarse = check_ee_upper_energy(cycle(2, 3))
         assert refined.rhs == pytest.approx(4 + 2 * GOLDEN - 1 - 4 + math.exp(4), abs=1e-8)
         refined, coarse = check_ee_upper_energy(Hypergraph(3, [(0, 1, 2)]))
         assert coarse.rhs == pytest.approx(2 + math.exp(4), abs=1e-9)
@@ -207,8 +213,8 @@ class TestEstradaBounds:
 
 class TestNordhausGaddum:
     def test_two_ring_values(self):
-        report = check_nordhaus_gaddum(cycle(2, 3)[0])
-        assert report.lhs == pytest.approx(2 * _ee(cycle(2, 3)[0]), rel=1e-12)
+        report = check_nordhaus_gaddum(cycle(2, 3))
+        assert report.lhs == pytest.approx(2 * _ee(cycle(2, 3)), rel=1e-12)
         assert report.rhs == pytest.approx(
             2 * math.exp(1.5) + 6 * math.exp(-0.5), abs=1e-9
         )
@@ -295,7 +301,7 @@ class TestTwoEigenvalueClassification:
         assert cert.r == 2 * 3 // 2
 
     def test_two_ring_is_none(self):
-        assert classify_two_eigenvalue(cycle(2, 3)[0]) is None
+        assert classify_two_eigenvalue(cycle(2, 3)) is None
 
     def test_boundary_block_equals_point_set(self):
         # a single complete edge has two distinct eigenvalues but designs
@@ -343,7 +349,7 @@ class TestCheckAllBounds:
     ]
 
     def test_two_ring_all_hold(self):
-        reports = check_all_bounds(cycle(2, 3)[0], 3)
+        reports = check_all_bounds(cycle(2, 3), 3)
         assert [r.bound_id for r in reports] == self.EXPECTED_IDS
         assert all(r.holds for r in reports)
 
@@ -368,33 +374,33 @@ class TestCheckAllBounds:
                 assert report.holds, (h, report.bound_id)
 
     def test_deterministic(self):
-        a = check_all_bounds(cycle(2, 3)[0], 3)
-        b = check_all_bounds(cycle(2, 3)[0], 3)
+        a = check_all_bounds(cycle(2, 3), 3)
+        b = check_all_bounds(cycle(2, 3), 3)
         assert [bound_report_to_dict(r) for r in a] == [bound_report_to_dict(r) for r in b]
 
 
 class TestRingReduction:
     def test_four_ring_shape(self):
-        h, labeling = cycle(4, 3)
-        reduced = ring_reduction(h, labeling, 3)
+        h = cycle(4, 3)
+        reduced = ring_reduction(h, 4, 3)
         # last ring edge {3, 0, 7} loses vertex 0 and reattaches at vertex 2
         assert reduced == Hypergraph(8, [(0, 1, 4), (1, 2, 5), (2, 3, 6), (2, 3, 7)])
 
     def test_requires_long_ring(self):
-        h, labeling = cycle(3, 3)
+        h = cycle(3, 3)
         with pytest.raises(Exception, match="m >= 4"):
-            ring_reduction(h, labeling, 3)
+            ring_reduction(h, 3, 3)
 
 
 class TestOrderingSuites:
     def test_pendant_shift_instance(self):
-        assert _ee(unicyclic_cm(3, [2, 1])[0]) < _ee(unicyclic_cm(3, [3, 0])[0])
+        assert _ee(unicyclic_cm(3, [2, 1])) < _ee(unicyclic_cm(3, [3, 0]))
 
     def test_ring3_to_ring2_instance(self):
-        assert _ee(unicyclic_cm(3, [3, 0, 0])[0]) < _ee(unicyclic_cm(3, [3, 1])[0])
+        assert _ee(unicyclic_cm(3, [3, 0, 0])) < _ee(unicyclic_cm(3, [3, 1]))
 
     def test_ring3_vs_gss_instance(self):
-        assert _ee(cycle(3, 3)[0]) < _ee(g_star_star(3))
+        assert _ee(cycle(3, 3)) < _ee(g_star_star(3))
 
     def test_suite_all_strict(self):
         reports = verify_ordering_lemmas(3, 12)
@@ -443,13 +449,14 @@ class TestOrderingSuites:
         # re-wiring the path's first edge to close a ring reproduces the
         # three-ring; re-wiring it one vertex earlier reproduces the
         # filler-pendant shape (both keep one isolated vertex behind)
-        h, labeling = path_p3(3)
-        first_edge_index = h.edge_index((0, labeling.interior[0, 0], labeling.cuts[0]))
+        # the path is (0, 1, 2), (2, 3, 4), (4, 5, 6): ends 0 and 6, cuts 2 and 4
+        h = path_p3(3)
+        first_edge_index = h.edge_index((0, 1, 2))
         stub_graph = shrink(h, 0, first_edge_index)
-        stub = (labeling.interior[0, 0], labeling.cuts[0])
-        ring_closed = extend_edge(stub_graph, stub_graph.edge_index(stub), labeling.ends[1])
-        gss_like = extend_edge(stub_graph, stub_graph.edge_index(stub), labeling.interior[1, 0])
-        assert _ee(ring_closed) == pytest.approx(_ee(cycle(3, 3)[0]) + 1.0, rel=1e-12)
+        stub = (1, 2)
+        ring_closed = extend_edge(stub_graph, stub_graph.edge_index(stub), 6)
+        gss_like = extend_edge(stub_graph, stub_graph.edge_index(stub), 3)
+        assert _ee(ring_closed) == pytest.approx(_ee(cycle(3, 3)) + 1.0, rel=1e-12)
         assert _ee(gss_like) == pytest.approx(_ee(g_star_star(3)) + 1.0, rel=1e-12)
         assert _ee(ring_closed) < _ee(gss_like)
 
@@ -541,6 +548,18 @@ class TestExtremal:
             with pytest.raises(FamilyGrammarError):
                 build_family(label)
 
+    @pytest.mark.parametrize("k,n_over", [(3, 3), (4, 3), (3, 5)])
+    def test_leaders_checked_by_catalog_label(self, k, n_over, monkeypatch):
+        # the expected leaders are catalog entries: nothing is rebuilt
+        def refuse(text):
+            raise AssertionError(f"rebuilt {text}")
+
+        monkeypatch.setattr(theorems.fam, "build_family", refuse)
+        report = verify_extremal(n_over, k)
+        assert report.passed
+        assert report.expected_max_label in report.max_labels
+        assert report.expected_second_label in report.second_labels
+
     def test_ties_rank_by_label_whatever_the_noise(self, monkeypatch):
         clean = verify_extremal(6, 3).ranking
         values = [ee for _, ee in clean]
@@ -573,7 +592,7 @@ class TestExtremal:
 
 class TestSerialization:
     def test_csv_columns(self):
-        reports = check_all_bounds(cycle(2, 3)[0], 3)
+        reports = check_all_bounds(cycle(2, 3), 3)
         text = bound_reports_to_csv(reports)
         lines = text.strip().split("\n")
         assert lines[0] == "bound_id,n,m,k,t,lhs,rhs,slack,holds,equality"
@@ -584,7 +603,7 @@ class TestSerialization:
         assert first[8] == "true"
 
     def test_json_round_trip(self):
-        reports = check_all_bounds(cycle(2, 3)[0], 3)
+        reports = check_all_bounds(cycle(2, 3), 3)
         payload = json.dumps([bound_report_to_dict(r) for r in reports])
         parsed = json.loads(payload)
         assert parsed[0]["bound_id"] == "cor3.2-sum-largest"
