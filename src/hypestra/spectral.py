@@ -160,6 +160,16 @@ def _spectra(stack: np.ndarray) -> list[Spectrum]:
     return [Spectrum(v, a, 1e-9 * max(1.0, fro), fro) for v, a, fro in zip(values, stack, fros)]
 
 
+def _solve(stack: np.ndarray) -> list[Spectrum]:
+    """Spectra of a (B, n, n) stack of one order from one eigvalsh call,
+    once every matrix is checked to be exactly symmetric; the stack is
+    made read-only, as each spectrum keeps its matrix."""
+    stack.flags.writeable = False
+    if not (stack == stack.transpose(0, 2, 1)).all():
+        raise ValueError("matrix is not exactly symmetric")
+    return _spectra(stack)
+
+
 def eigendecompose(matrix) -> Spectrum:
     """Spectrum of a real symmetric matrix, eigenvalues descending."""
     return _spectra(as_symmetric(matrix)[None])[0]
@@ -187,9 +197,7 @@ def spectra_of(hypergraphs) -> list[Spectrum]:
         for start in range(0, len(positions), _STACK_LIMIT):
             chunk = positions[start : start + _STACK_LIMIT]
             stack = _adjacency_stack([hs[i] for i in chunk], n)
-            if not (stack == stack.transpose(0, 2, 1)).all():
-                raise ValueError("matrix is not exactly symmetric")
-            for i, spectrum in zip(chunk, _spectra(stack)):
+            for i, spectrum in zip(chunk, _solve(stack)):
                 out[i] = spectrum
     return out
 
@@ -223,14 +231,18 @@ def spectral_moment(spectrum: Spectrum, t: int) -> int | float:
 def estrada_index(spectrum: Spectrum) -> float:
     """Sum of exp(eigenvalue) over the spectrum.
 
-    Raises OverflowError instead of returning infinity once the leading
-    eigenvalue exceeds what double precision can exponentiate (~709).
+    Raises OverflowError instead of returning infinity whenever the sum
+    exceeds double precision: once the leading eigenvalue is past what
+    exp can take (~709), or when several large terms add up past it.
     """
-    if spectrum.n and spectrum.lambda1 > _EXP_OVERFLOW:
+    total = math.inf
+    if spectrum.lambda1 <= _EXP_OVERFLOW:
+        total = float(sum(map(math.exp, spectrum.eigenvalues.tolist())))
+    if not math.isfinite(total):
         raise OverflowError(
             f"estrada index overflows double precision (lambda1={spectrum.lambda1:g})"
         )
-    return float(sum(math.exp(v) for v in spectrum.eigenvalues))
+    return total
 
 
 def energy(spectrum: Spectrum) -> float:

@@ -10,7 +10,9 @@ README for the catalog of bound identifiers and their statements.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -28,6 +30,8 @@ from .hypercore import (
 )
 from .spectral import (
     Spectrum,
+    _solve,
+    adjacency,
     as_symmetric,
     distinct_eigenvalues,
     eigendecompose,
@@ -364,13 +368,23 @@ def check_nordhaus_gaddum(
 ) -> BoundReport:
     """Estrada index of h plus that of its k-uniform complement against
     2*exp((n-1)/2) + 2(n-1)*exp(-1/2) from below."""
+    return _nordhaus_gaddum(h, k, spectrum, None)
+
+
+def _nordhaus_gaddum(
+    h: Hypergraph, k: int | None, spectrum: Spectrum | None, complement: Spectrum | None
+) -> BoundReport:
+    """check_nordhaus_gaddum, given the complement's spectrum when it was
+    solved beforehand; None solves it here, after h's Estrada index."""
     k = _resolve_k(h, k)
     if k is None:
         raise HypergraphError("complement of an edgeless hypergraph needs an explicit k")
     if spectrum is None:
         spectrum = spectrum_of(h)
     ee = estrada_index(spectrum)
-    ee_bar = estrada_index(eigendecompose(_complement_adjacency(spectrum.matrix, k)))
+    if complement is None:
+        complement = eigendecompose(_complement_adjacency(spectrum.matrix, k))
+    ee_bar = estrada_index(complement)
     lhs = ee + ee_bar
     rhs = 2 * math.exp((h.n - 1) / 2) + 2 * (h.n - 1) * math.exp(-0.5)
     return _report(
@@ -450,16 +464,9 @@ def classify_two_eigenvalue(
 # --- aggregated bound run ---------------------------------------------------
 
 
-def _first_missing_edge(h: Hypergraph, k: int | None) -> tuple[int, ...] | None:
-    if k is None or k > h.n:
-        return None
-    from itertools import combinations
-
+def _first_missing_edge(h: Hypergraph, k: int) -> tuple[int, ...] | None:
     present = set(h.edges)
-    for cand in combinations(range(h.n), k):
-        if cand not in present:
-            return cand
-    return None
+    return next((e for e in combinations(range(h.n), k) if e not in present), None)
 
 
 def check_all_bounds(
@@ -475,9 +482,27 @@ def check_all_bounds(
     spectral and edge-count Estrada lower bounds, the three Estrada upper
     bounds, the complement-sum bound, and (when a k-subset is missing) an
     edge-addition monotonicity probe.
+
+    The adjacency A of h is built once.  The complement's matrix
+    C(n-2,k-2)(J - I) - A and the probe's, A plus one on each pair of the
+    first missing k-subset, come from it, and all of them are solved as
+    one stack.  Each spectrum is bitwise the one a lone solve gives.
     """
     k = _resolve_k(h, k)
-    spectrum = spectrum_of(h)
+    a = adjacency(h)
+    matrices = [a]
+    # a complement that cannot be built is left for check_nordhaus_gaddum
+    # to raise at its usual place, which comes before the probe is needed
+    if k is not None:
+        with suppress(HypergraphError, OverflowError):
+            matrices.append(_complement_adjacency(a, k))
+    probe = _first_missing_edge(h, k) if len(matrices) > 1 else None
+    if probe is not None:
+        i, j = zip(*combinations(probe, 2))
+        grown = a.copy()
+        grown[i + j, j + i] += 1
+        matrices.append(grown)
+    spectrum, *others = _solve(np.stack(matrices))
     reports = [
         check_sum_t_largest_matrix(spectrum.matrix, t, variant, spectrum=spectrum),
         check_sum_t_largest_hypergraph(h, t, k, variant, spectrum=spectrum),
@@ -486,16 +511,14 @@ def check_all_bounds(
         check_ee_lower_edges(h, k, spectrum=spectrum),
         check_ee_upper_edges(h, k, spectrum=spectrum),
         *check_ee_upper_energy(h, k, spectrum=spectrum),
-        check_nordhaus_gaddum(h, k, spectrum=spectrum),
+        _nordhaus_gaddum(h, k, spectrum, others[0] if others else None),
     ]
-    probe = _first_missing_edge(h, k)
     if probe is not None:
-        grown = add_edge(h, probe)
         reports.append(
             _report(
                 "ee-monotonicity",
                 estrada_index(spectrum),
-                estrada_index(spectrum_of(grown)),
+                estrada_index(others[1]),
                 "le",
                 {"n": h.n, "m": h.m, "k": k, "t": None},
                 {"added_edge": list(probe)},
@@ -611,8 +634,6 @@ def _lemma43_sides(k: int, size_budget: int) -> list[_Sides]:
 
 
 def _monotonicity_sides(k: int, size_budget: int) -> list[_Sides]:
-    from itertools import combinations
-
     labels = [f"edgeless:{k + 1}", f"star:{k},2"]
     if k >= 3:
         labels += [f"cycle:2,{k}", f"gss:{k}"]

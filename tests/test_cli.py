@@ -1,10 +1,12 @@
 import argparse
 import json
+import random
 
 import numpy as np
 import pytest
 
 from hypestra import (
+    Hypergraph,
     build_family,
     cli,
     closed_walk_counts,
@@ -201,6 +203,29 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(path), "--k", k)
         assert (code, out) == (2, "")
         assert err == f"error: need 2 <= k <= n for complement, got k={k}, n=5\n"
+
+    @pytest.mark.parametrize(
+        "m,t,message",
+        [
+            # thm4.2's exp overflows before the complement is reached
+            (15, None, "math range error"),
+            # the t range is checked first of all the bounds
+            (15, "150", "need 2 <= t <= n, got t=150, n=100"),
+            (1, "150", "need 2 <= t <= n, got t=150, n=100"),
+            # every bound before thm4.5 is finite; C(98, 49) is past int64
+            (1, "2", "Python int too large to convert to C long"),
+        ],
+    )
+    def test_error_precedence(self, capsys, tmp_path, m, t, message):
+        rng = random.Random(20261018 + m)
+        edges = set()
+        while len(edges) < m:
+            edges.add(tuple(sorted(rng.sample(range(100), 51))))
+        path = tmp_path / "wide.txt"
+        path.write_text(to_text(Hypergraph(100, edges)))
+        argv = ["check", str(path), "--k", "51"] + (["--t", t] if t else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_failed_bound_exits_1(self, capsys, tmp_path, monkeypatch):
         failing = BoundReport(

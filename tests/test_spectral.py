@@ -275,6 +275,19 @@ class TestSpectrumStatistics:
         with pytest.raises(OverflowError):
             estrada_index(spectrum)
 
+    def test_estrada_sum_overflow_raises(self):
+        # each exp(709) is finite, their sum is not
+        spectrum = eigendecompose(np.diag([709.0] * 3))
+        message = r"^estrada index overflows double precision \(lambda1=709\)$"
+        with pytest.raises(OverflowError, match=message):
+            estrada_index(spectrum)
+        with pytest.raises(OverflowError, match=message):
+            summary_to_dict(spectrum)
+
+    def test_estrada_finite_sum_near_the_edge(self):
+        spectrum = eigendecompose(np.diag([709.0, 709.0]))
+        assert estrada_index(spectrum) == 2 * math.exp(709.0)
+
     def test_energy_examples(self):
         assert energy(spectrum_of(edgeless(4))) == 0.0
         assert energy(spectrum_of(Hypergraph(3, [(0, 1, 2)]))) == pytest.approx(4.0, abs=1e-10)

@@ -1,7 +1,9 @@
 import json
 import math
 import random
+import re
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypestra import (
     FamilyGrammarError,
     Hypergraph,
     THETA_PLUS_ONE,
+    add_edge,
     adjacency,
     build_family,
     check_all_bounds,
@@ -49,6 +52,8 @@ from hypestra.theorems import (
     extremal_report_to_dict,
     ordering_reports_to_csv,
 )
+
+from conftest import family_fixtures
 
 GOLDEN = 1 + math.sqrt(5)
 
@@ -377,6 +382,95 @@ class TestCheckAllBounds:
         a = check_all_bounds(cycle(2, 3), 3)
         b = check_all_bounds(cycle(2, 3), 3)
         assert [bound_report_to_dict(r) for r in a] == [bound_report_to_dict(r) for r in b]
+
+
+def _check_instances():
+    """Every conftest fixture, then 200 seeded random instances with
+    k in {2, 3, 4} and n <= 12, every tenth edgeless and every tenth
+    complete."""
+    yield from family_fixtures()
+    rng = random.Random(20261018)
+    for i in range(200):
+        k = rng.choice((2, 3, 4))
+        n = rng.randint(k, 12)
+        if i % 10 == 0:
+            m = 0
+        elif i % 10 == 1:
+            m = math.comb(n, k)
+        else:
+            m = rng.randint(0, math.comb(n, k))
+        yield i, random_uniform(n, k, m, rng), k
+
+
+def _first_missing(h, k):
+    present = set(h.edges)
+    return next((e for e in combinations(range(h.n), k) if e not in present), None)
+
+
+def _one_by_one(h, k, t):
+    """check_all_bounds rebuilt from the public checkers, each making its
+    own solve, and the probe scored on the hypergraph with the edge added."""
+    reports = [
+        check_sum_t_largest_matrix(adjacency(h), t),
+        check_sum_t_largest_hypergraph(h, t, k),
+        *check_moment2_bounds(h, k),
+        check_ee_lower_spectral(h),
+        check_ee_lower_edges(h, k),
+        check_ee_upper_edges(h, k),
+        *check_ee_upper_energy(h, k),
+        check_nordhaus_gaddum(h, k),
+    ]
+    e = _first_missing(h, k)
+    if e is not None:
+        grown = estrada_index(spectrum_of(add_edge(h, e)))
+        inputs = {"n": h.n, "m": h.m, "k": k, "t": None}
+        reports.append(
+            theorems._report(
+                "ee-monotonicity", _ee(h), grown, "le", inputs, {"added_edge": list(e)}
+            )
+        )
+    return sorted(reports, key=lambda r: r.bound_id)
+
+
+class TestCheckAllBoundsOneSolve:
+    """check_all_bounds solves h, its complement and the probe as one
+    stack in one eigvalsh call, and its reports equal those of the public
+    checkers called one by one."""
+
+    def test_one_call_same_reports(self, monkeypatch):
+        solve = np.linalg.eigvalsh
+        shapes = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or solve(a))
+        for name, h, k in _check_instances():
+            stack = (2 if _first_missing(h, k) is None else 3, h.n, h.n)
+            for t in sorted({2, h.n}):
+                with monkeypatch.context() as lone:
+                    lone.setattr(np.linalg, "eigvalsh", solve)
+                    try:
+                        expected = _one_by_one(h, k, t)
+                    except OverflowError as exc:
+                        expected = exc
+                shapes.clear()
+                if isinstance(expected, OverflowError):
+                    # a bound past double precision: the same error from
+                    # the same bound, after the same one solve
+                    with pytest.raises(OverflowError, match=f"^{re.escape(str(expected))}$"):
+                        check_all_bounds(h, k, t)
+                    assert shapes == [stack], (name, t)
+                    continue
+                reports = check_all_bounds(h, k, t)
+                assert shapes == [stack], (name, t)
+                assert len(reports) == len(expected), (name, t)
+                for got, want in zip(reports, expected):
+                    for key in vars(want):
+                        assert getattr(got, key) == getattr(want, key), (name, t, key)
+
+    def test_complete_solves_two(self, monkeypatch):
+        shapes, solve = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or solve(a))
+        check_all_bounds(complete_uniform(6, 3), 3)
+        check_all_bounds(cycle(2, 3), 3)
+        assert shapes == [(2, 6, 6), (3, 4, 4)]
 
 
 class TestRingReduction:

@@ -1,0 +1,156 @@
+"""Digest of hypestra's command line output over a fixed corpus.
+
+Runs every call of the corpus through in-process ``hypestra.cli.main``,
+against whichever ``hypestra`` is importable, and prints one line per call:
+the SHA-256 of its stdout, stderr and exit code, two spaces, then its argv.
+Two trees print the same lines exactly when their CLI output is
+byte-identical over the corpus, so an output change shows up as a diff:
+
+    PYTHONPATH=old/src python3 tools/cli_digest.py > old.txt
+    PYTHONPATH=new/src python3 tools/cli_digest.py > new.txt
+    diff old.txt new.txt
+
+The corpus (4,347 calls, about 3 s on one core):
+
+- ``check`` in text, JSON and CSV, with ``--t 2|3`` and ``--k`` at the
+  true k and k +- 1, and ``spectrum --smax 8`` in every format, on 200
+  seeded random inputs (k in {2, 3, 4}, n <= 12, edgeless and complete
+  ones among them) and on 3-uniform inputs at n = 24, 40 and 64 with
+  m = 2n;
+- ``check`` on n = 100, k = 51 inputs whose errors compete for the one
+  line on stderr;
+- ``verify orderings|extremal|bounds`` and ``enumerate`` on the acceptance
+  grid, in every format;
+- ``gen`` for every family head, plus malformed labels.
+
+Inputs are written with the standard library alone, into a temporary
+directory that is the working directory during the calls, so argv and
+messages name files by relative path only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from itertools import combinations
+
+from hypestra import cli
+
+FORMATS = ("text", "json", "csv")
+
+
+def write_input(name: str, n: int, edges) -> str:
+    """Write n and the edges as JSON (.json names) or as text."""
+    edges = sorted(tuple(sorted(e)) for e in edges)
+    with open(name, "w", encoding="utf-8") as fh:
+        if name.endswith(".json"):
+            fh.write(json.dumps({"n": n, "edges": [list(e) for e in edges]}) + "\n")
+        else:
+            fh.write(f"{n}\n" + "".join(" ".join(map(str, e)) + "\n" for e in edges))
+    return name
+
+
+def random_inputs(rng: random.Random) -> list[tuple[str, int]]:
+    """(file, k) for 200 small inputs (the edgeless and the complete one
+    at n = k and k + 2 for each k, the rest seeded random), then the
+    three large 3-uniform ones."""
+    out = []
+    for k in (2, 3, 4):
+        for n in (k, k + 2):
+            out.append((write_input(f"edgeless-{n}-{k}.txt", n, []), k))
+            full = list(combinations(range(n), k))
+            out.append((write_input(f"complete-{n}-{k}.json", n, full), k))
+    for i in range(200 - len(out)):
+        k = rng.choice((2, 3, 4))
+        n = rng.randint(k, 12)
+        pool = list(combinations(range(n), k))
+        edges = rng.sample(pool, rng.randint(0, len(pool)))
+        out.append((write_input(f"r{i:03d}.{('txt', 'json')[i % 2]}", n, edges), k))
+    for n in (24, 40, 64):
+        edges = set()
+        while len(edges) < 2 * n:
+            edges.add(tuple(sorted(rng.sample(range(n), 3))))
+        out.append((write_input(f"scale-{n}.txt", n, edges), 3))
+    return out
+
+
+def precedence_inputs(rng: random.Random) -> list[str]:
+    """n = 100, k = 51 inputs with 15 random edges and with one edge: a
+    bound's exp, the t range and the int64 complement pair count can each
+    raise first."""
+    many = set()
+    while len(many) < 15:
+        many.add(tuple(sorted(rng.sample(range(100), 51))))
+    return [
+        write_input("wide-15.txt", 100, many),
+        write_input("wide-1.txt", 100, [tuple(range(51))]),
+    ]
+
+
+def corpus(rng: random.Random) -> list[list[str]]:
+    calls = []
+    for path, k in random_inputs(rng):
+        for kk in (k, k - 1, k + 1):
+            for t in ("2", "3"):
+                for fmt in FORMATS:
+                    calls.append(["check", path, "--k", str(kk), "--t", t, "--format", fmt])
+        for fmt in FORMATS:
+            calls.append(["spectrum", path, "--smax", "8", "--format", fmt])
+    for path in precedence_inputs(rng):
+        calls.append(["check", path, "--k", "51", "--format", "json"])
+        calls.append(["check", path, "--k", "51", "--t", "150"])
+    for fmt in FORMATS:
+        for k in (3, 4):
+            calls.append(["verify", "orderings", "--k", str(k), "--budget", "16", "--format", fmt])
+        for k, n_overs in ((3, (3, 4, 5, 6)), (4, (3, 4))):
+            for n_over in n_overs:
+                nover = ["--nover", str(n_over), "--k", str(k), "--format", fmt]
+                calls.append(["verify", "extremal", *nover])
+                calls.append(["enumerate", *nover])
+        for k in (2, 3, 4):
+            for seed in ("0", "1"):
+                calls.append(
+                    ["verify", "bounds", "--k", str(k), "--budget", "20", "--seed", seed, "--format", fmt]
+                )
+    labels = [
+        "complete:6,3", "edgeless:5", "cycle:3,3", "xn:8,3", "star:3,4", "p3:4",
+        "gss:3", "fano", "cm:3:2,1,0", "cm:4:1,0",
+        # malformed or rejected labels
+        "cycle:2,2", "complete:4,x", "fano:x", "cm:3", "cm:x:1,2", "cm:3:1",
+        "cmx:3:2:0,0,1", "nope:1", "star:3", "",
+    ]
+    calls += [["gen", label] for label in labels]
+    return calls
+
+
+def digest(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    payload = json.dumps([out.getvalue(), err.getvalue(), code])
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def main() -> int:
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for argv in corpus(random.Random(20261018)):
+                sys.stdout.write(f"{digest(argv)}  {' '.join(argv)}\n")
+        finally:
+            os.chdir(start)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
