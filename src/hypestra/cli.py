@@ -19,6 +19,7 @@ from . import families as fam
 from . import theorems as th
 from .hypercore import Hypergraph, HypergraphError, read_file, to_json, to_text, write_file
 from .spectral import (
+    csv_text,
     estrada_index,
     format_float,
     spectra_of,
@@ -27,7 +28,7 @@ from .spectral import (
     summary_to_dict,
 )
 
-_INPUT_ERRORS = (HypergraphError, fam.FamilyGrammarError, OverflowError, OSError, ValueError)
+_INPUT_ERRORS = (HypergraphError, fam.FamilyGrammarError, OverflowError, OSError)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -135,9 +136,8 @@ def cmd_enumerate(args) -> int:
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
     if args.format == "csv":
-        lines = ["label,n,m,estrada"]
-        lines += [f"{label},{h.n},{h.m},{format_float(ee)}" for label, h, ee in scored]
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = ((label, h.n, h.m, ee) for label, h, ee in scored)
+        _emit(csv_text("label,n,m,estrada", rows), args.out)
         return 0
     lines = [
         f"{label} n={h.n} m={h.m} estrada={format_float(ee)}" for label, h, ee in scored
@@ -150,6 +150,8 @@ def _verify_extremal(args) -> tuple[str, bool]:
     report = th.verify_extremal(args.nover, args.k)
     if args.format == "json":
         return json.dumps(th.extremal_report_to_dict(report), indent=2) + "\n", report.passed
+    if args.format == "csv":
+        return csv_text("label,estrada", report.ranking), report.passed
     lines = [f"extremal ranking for n_over={report.n_over} k={report.k} (n={report.n})"]
     lines += [
         f"  {label} estrada={format_float(ee)}" for label, ee in report.ranking
@@ -191,6 +193,9 @@ def _verify_orderings(args) -> tuple[str, bool]:
 def _verify_bounds(args) -> tuple[str, bool]:
     rng = random.Random(args.seed)
     k = args.k
+    # instances have at most 12 vertices
+    if not 2 <= k <= 12:
+        raise HypergraphError(f"need 2 <= k <= 12, got k={k}")
     failures = []
     count = args.budget
     for index in range(count):
@@ -201,6 +206,17 @@ def _verify_bounds(args) -> tuple[str, bool]:
             if not r.holds:
                 failures.append((index, h, r))
     ok = not failures
+    if args.format == "json":
+        as_dict = th.bound_report_to_dict
+        failed = [
+            {"instance": i, "hypergraph": json.loads(to_json(h)), "report": as_dict(r)}
+            for i, h, r in failures
+        ]
+        payload = {"k": k, "seed": args.seed, "checked": count, "passed": ok, "failures": failed}
+        return json.dumps(payload, indent=2) + "\n", ok
+    if args.format == "csv":
+        rows = ([index, *th.bound_csv_cells(r)] for index, _, r in failures)
+        return csv_text("instance," + th.BOUND_CSV_HEADER, rows), ok
     lines = [f"checked {count} random {k}-uniform hypergraph(s), seed={args.seed}"]
     for index, h, r in failures:
         lines.append(f"FAILED instance {index}: {r.bound_id} on {to_json(h)}")
@@ -208,13 +224,11 @@ def _verify_bounds(args) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", ok
 
 
+_SUITES = {"extremal": _verify_extremal, "orderings": _verify_orderings, "bounds": _verify_bounds}
+
+
 def cmd_verify(args) -> int:
-    if args.suite == "extremal":
-        text, ok = _verify_extremal(args)
-    elif args.suite == "orderings":
-        text, ok = _verify_orderings(args)
-    else:
-        text, ok = _verify_bounds(args)
+    text, ok = _SUITES[args.suite](args)
     _emit(text, args.out)
     return 0 if ok else 1
 
@@ -252,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=("extremal", "orderings", "bounds"))
+    p.add_argument("suite", choices=tuple(_SUITES))
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--nover", type=int, default=4, help="order divided by k-1 (extremal suite)")
     p.add_argument("--budget", type=int, default=14,

@@ -362,7 +362,10 @@ def from_json(text: str) -> Hypergraph:
 def read_file(path: str) -> Hypergraph:
     """Load a hypergraph, dispatching on the .json extension."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(str(exc)) from None
     if str(path).endswith(".json"):
         return from_json(text)
     return from_text(text)

@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .hypercore import Hypergraph
+from .hypercore import Hypergraph, HypergraphError
 
 #: exp overflows double precision just above this exponent
 _EXP_OVERFLOW = 709.0
@@ -209,7 +209,7 @@ def _moments(
     1..walk_max.  For an integer source matrix both come from one exact
     power pass; otherwise moments are sums of eigenvalue powers."""
     if walk_max < 0:
-        raise ValueError(f"s_max must be >= 1, got {walk_max}")
+        raise HypergraphError(f"s_max must be >= 1, got {walk_max}")
     if spectrum.matrix.dtype.kind != "i":
         if walk_max:
             raise ValueError("closed walk counts need an integer matrix")
@@ -407,11 +407,25 @@ def _snapped_eigenvalues(spectrum: Spectrum) -> list[float]:
     ]
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format_float(value)
+    return str(value)
+
+
+def csv_text(header: str, rows) -> str:
+    """The header line, then one line per row of cells: None as an empty
+    cell, bools in lower case, floats through ``format_float``."""
+    return "\n".join([header, *(",".join(map(_cell, row)) for row in rows)]) + "\n"
+
+
 def spectrum_to_csv(spectrum: Spectrum) -> str:
     """CSV with a single ``eigenvalue`` column, descending."""
-    lines = ["eigenvalue"]
-    lines += [format_float(v) for v in _snapped_eigenvalues(spectrum)]
-    return "\n".join(lines) + "\n"
+    return csv_text("eigenvalue", ([v] for v in _snapped_eigenvalues(spectrum)))
 
 
 def summary_to_dict(spectrum: Spectrum, max_moment: int = 8, walk_max: int = 0) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -33,6 +34,7 @@ from .spectral import (
     _solve,
     adjacency,
     as_symmetric,
+    csv_text,
     distinct_eigenvalues,
     eigendecompose,
     energy,
@@ -125,15 +127,141 @@ def _resolve_k(h: Hypergraph, k: int | None) -> int | None:
     return u
 
 
-def _sum_largest_core(theta: int, t: int, variant: str) -> float:
-    """(theta + sqrt(theta*(t*theta + t - 1))) / denominator."""
-    if variant == AS_WRITTEN:
-        den = 2 * theta + 1
-    elif variant == THETA_PLUS_ONE:
-        den = 2 * (theta + 1)
-    else:
-        raise ValueError(f"unknown variant {variant!r}; pick one of {VARIANTS}")
-    return (theta + math.sqrt(theta * (t * theta + t - 1))) / den
+def _sum_largest(bound_id, spectrum, t, variant, rhs_of, inputs, extra) -> BoundReport:
+    """The sum of the t largest eigenvalues against rhs_of(theta, core)
+    for both variants of core(theta, t), with theta the negative count
+    and core = (theta + sqrt(theta*(t*theta + t - 1))) / den."""
+    theta = negative_count(spectrum)
+    lhs = float(np.sum(spectrum.eigenvalues[:t]))
+    top = theta + math.sqrt(theta * (t * theta + t - 1))
+    rhs_by_variant = {
+        AS_WRITTEN: rhs_of(theta, top / (2 * theta + 1)),
+        THETA_PLUS_ONE: rhs_of(theta, top / (2 * (theta + 1))),
+    }
+    tighter = rhs_by_variant[THETA_PLUS_ONE] < rhs_by_variant[AS_WRITTEN]
+    extra = {
+        "variant": variant,
+        "theta": theta,
+        **extra,
+        "rhs_as_written": rhs_by_variant[AS_WRITTEN],
+        "rhs_theta_plus_one": rhs_by_variant[THETA_PLUS_ONE],
+        "tighter_variant": THETA_PLUS_ONE if tighter else "tie",
+    }
+    return _report(bound_id, lhs, rhs_by_variant[variant], "le", inputs, extra)
+
+
+class _Facts:
+    """The facts of one hypergraph h that its bounds read, and the bounds.
+
+    n and m are read off h.  Every other fact is computed once, when a
+    bound first reads it, so an error (non-uniform input, an Estrada sum
+    past double precision) raises at the first bound that needs the fact,
+    in the order the bounds run.  A spectrum solved beforehand is set like
+    a plain attribute, and is then not solved again.
+    """
+
+    def __init__(self, h: Hypergraph, k: int | None, spectrum: Spectrum | None = None):
+        self.h, self.n, self.m, self.requested_k = h, h.n, h.m, k
+        if spectrum is not None:
+            self.spectrum = spectrum
+
+    @cached_property
+    def k(self) -> int | None:
+        return _resolve_k(self.h, self.requested_k)
+
+    @property
+    def inputs(self) -> dict:
+        return {"n": self.n, "m": self.m, "k": self.k, "t": None}
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        return spectrum_of(self.h)
+
+    @cached_property
+    def ee(self) -> float:
+        return estrada_index(self.spectrum)
+
+    @cached_property
+    def moment2_upper(self) -> float:
+        """(k-1)m(m(k-2)+2), the upper bound on the second moment."""
+        m, k = self.m, self.k
+        return 0.0 if m == 0 else float((k - 1) * m * (m * (k - 2) + 2))
+
+    @cached_property
+    def root(self) -> float:
+        return math.sqrt(self.moment2_upper)
+
+    @cached_property
+    def complement(self) -> Spectrum:
+        """Spectrum of the k-uniform complement."""
+        return eigendecompose(_complement_adjacency(self.spectrum.matrix, self.k))
+
+    @cached_property
+    def ee_complement(self) -> float:
+        return estrada_index(self.complement)
+
+    # --- the bounds, one per public checker ---
+
+    def sum_largest(self, t: int, variant: str) -> BoundReport:
+        n = self.n
+        if not 2 <= t <= n:
+            raise HypergraphError(f"need 2 <= t <= n, got t={t}, n={n}")
+        inputs = {**self.inputs, "t": t}
+        # with no negative eigenvalue the bound is 0, and k may be unknown
+        return _sum_largest(
+            "cor3.2-sum-largest",
+            self.spectrum,
+            t,
+            variant,
+            lambda theta, core: 0.0 if theta == 0 else n * math.comb(n - 2, self.k - 2) * core,
+            inputs,
+            {},
+        )
+
+    def moment2_bounds(self) -> tuple[BoundReport, BoundReport]:
+        inputs = self.inputs
+        m2 = spectral_moment(self.spectrum, 2)
+        lower = 0.0 if self.m == 0 else float(self.k * (self.k - 1) * self.m)
+        return (
+            _report("thm2.12-moment-lower", lower, m2, "le", inputs),
+            _report("thm2.12-moment-upper", m2, self.moment2_upper, "le", inputs),
+        )
+
+    def ee_lower_spectral(self) -> BoundReport:
+        lhs = self.ee
+        lam1 = self.spectrum.lambda1
+        rhs = math.exp(lam1) + (self.n - 1) - lam1
+        inputs = {"n": self.n, "m": self.m, "k": None, "t": None}
+        return _report("ee-lower-spectral", lhs, rhs, "ge", inputs)
+
+    def ee_lower_edges(self) -> BoundReport:
+        inputs = self.inputs
+        edge_term = 0.0 if self.m == 0 else 4 * self.k * (self.k - 1) * self.m / 2
+        rhs = math.sqrt(self.n**2 + edge_term)
+        return _report("thm4.1-ee-lower", self.ee, rhs, "ge", inputs)
+
+    def ee_upper_edges(self) -> BoundReport:
+        inputs = self.inputs
+        return _report("thm4.2-ee-upper", self.ee, self.n - 1 + math.exp(self.root), "le", inputs)
+
+    def ee_upper_energy(self) -> tuple[BoundReport, BoundReport]:
+        inputs = self.inputs
+        lhs = self.ee
+        e_total = energy(self.spectrum)
+        refined = self.n + e_total - 1 - self.root + math.exp(self.root)
+        coarse = self.n - 1 + math.exp(e_total)
+        return (
+            _report("thm4.3-ee-upper-energy", lhs, refined, "le", inputs, {"energy": e_total}),
+            _report("rem4.4-ee-upper-energy", lhs, coarse, "le", inputs, {"energy": e_total}),
+        )
+
+    def nordhaus_gaddum(self) -> BoundReport:
+        if self.k is None:
+            raise HypergraphError("complement of an edgeless hypergraph needs an explicit k")
+        ee, ee_bar = self.ee, self.ee_complement
+        rhs = 2 * math.exp((self.n - 1) / 2) + 2 * (self.n - 1) * math.exp(-0.5)
+        extra = {"ee": ee, "ee_complement": ee_bar}
+        return _report("thm4.5-nordhaus-gaddum", ee + ee_bar, rhs, "ge", self.inputs, extra)
 
 
 def check_sum_t_largest_matrix(
@@ -155,40 +283,22 @@ def check_sum_t_largest_matrix(
     matrix = as_symmetric(matrix)
     n = matrix.shape[0]
     if not 2 <= t <= n:
-        raise ValueError(f"need 2 <= t <= n, got t={t}, n={n}")
+        raise HypergraphError(f"need 2 <= t <= n, got t={t}, n={n}")
     if spectrum is None:
         spectrum = eigendecompose(matrix)
-    theta = negative_count(spectrum)
     a = float(matrix.min())
     b = float(matrix.max())
-    lhs = float(np.sum(spectrum.eigenvalues[:t]))
-    rhs_by_variant = {
-        v: n * (_sum_largest_core(theta, t, v) * (b - a) + max(0.0, a))
-        for v in VARIANTS
-    }
-    rhs = rhs_by_variant[variant]
-    return _report(
+    report = _sum_largest(
         "thm3.1-sum-largest",
-        lhs,
-        rhs,
-        "le",
+        spectrum,
+        t,
+        variant,
+        lambda _, core: n * (core * (b - a) + max(0.0, a)),
         {"n": n, "m": None, "k": None, "t": t},
-        {
-            "variant": variant,
-            "theta": theta,
-            "entry_min": a,
-            "entry_max": b,
-            "rhs_as_written": rhs_by_variant[AS_WRITTEN],
-            "rhs_theta_plus_one": rhs_by_variant[THETA_PLUS_ONE],
-            "tighter_variant": (
-                THETA_PLUS_ONE
-                if rhs_by_variant[THETA_PLUS_ONE] < rhs_by_variant[AS_WRITTEN]
-                else "tie"
-            ),
-            "tau_lhs": lhs / n,
-            "tau_rhs": rhs / n,
-        },
+        {"entry_min": a, "entry_max": b},
     )
+    report.extra.update(tau_lhs=report.lhs / n, tau_rhs=report.rhs / n)
+    return report
 
 
 def check_sum_t_largest_hypergraph(
@@ -200,40 +310,7 @@ def check_sum_t_largest_hypergraph(
 ) -> BoundReport:
     """Sum of the t largest adjacency eigenvalues of a uniform hypergraph
     against n*C(n-2, k-2)*core(theta, t)."""
-    n = h.n
-    if not 2 <= t <= n:
-        raise ValueError(f"need 2 <= t <= n, got t={t}, n={n}")
-    k = _resolve_k(h, k)
-    if spectrum is None:
-        spectrum = spectrum_of(h)
-    theta = negative_count(spectrum)
-    lhs = float(np.sum(spectrum.eigenvalues[:t]))
-    if theta == 0:
-        rhs_by_variant = {v: 0.0 for v in VARIANTS}
-    else:
-        pair_cap = math.comb(n - 2, k - 2)
-        rhs_by_variant = {
-            v: n * pair_cap * _sum_largest_core(theta, t, v) for v in VARIANTS
-        }
-    rhs = rhs_by_variant[variant]
-    return _report(
-        "cor3.2-sum-largest",
-        lhs,
-        rhs,
-        "le",
-        {"n": n, "m": h.m, "k": k, "t": t},
-        {
-            "variant": variant,
-            "theta": theta,
-            "rhs_as_written": rhs_by_variant[AS_WRITTEN],
-            "rhs_theta_plus_one": rhs_by_variant[THETA_PLUS_ONE],
-            "tighter_variant": (
-                THETA_PLUS_ONE
-                if rhs_by_variant[THETA_PLUS_ONE] < rhs_by_variant[AS_WRITTEN]
-                else "tie"
-            ),
-        },
-    )
+    return _Facts(h, k, spectrum).sum_largest(t, variant)
 
 
 def check_moment2_bounds(
@@ -244,32 +321,14 @@ def check_moment2_bounds(
     """Second spectral moment, the exact trace of A^2, squeezed between
     k(k-1)m and (k-1)m(m(k-2)+2); one report per side so equality flags
     stay independent."""
-    k = _resolve_k(h, k)
-    if spectrum is None:
-        spectrum = spectrum_of(h)
-    m2 = spectral_moment(spectrum, 2)
-    m = h.m
-    inputs = {"n": h.n, "m": m, "k": k, "t": None}
-    lower = 0.0 if m == 0 else float(k * (k - 1) * m)
-    upper = 0.0 if m == 0 else float((k - 1) * m * (m * (k - 2) + 2))
-    return (
-        _report("thm2.12-moment-lower", lower, m2, "le", inputs),
-        _report("thm2.12-moment-upper", m2, upper, "le", inputs),
-    )
+    return _Facts(h, k, spectrum).moment2_bounds()
 
 
 def check_ee_lower_spectral(
     h: Hypergraph, spectrum: Spectrum | None = None
 ) -> BoundReport:
     """Estrada index against exp(lambda1) + (n-1) - lambda1 from below."""
-    if spectrum is None:
-        spectrum = spectrum_of(h)
-    lam1 = spectrum.lambda1
-    lhs = estrada_index(spectrum)
-    rhs = math.exp(lam1) + (h.n - 1) - lam1
-    return _report(
-        "ee-lower-spectral", lhs, rhs, "ge", {"n": h.n, "m": h.m, "k": None, "t": None}
-    )
+    return _Facts(h, None, spectrum).ee_lower_spectral()
 
 
 def check_ee_lower_edges(
@@ -279,19 +338,7 @@ def check_ee_lower_edges(
 ) -> BoundReport:
     """Estrada index against sqrt(n^2 + 4k(k-1)m/2) from below; equality
     exactly on edgeless input."""
-    k = _resolve_k(h, k)
-    if spectrum is None:
-        spectrum = spectrum_of(h)
-    lhs = estrada_index(spectrum)
-    edge_term = 0.0 if h.m == 0 else 4 * k * (k - 1) * h.m / 2
-    rhs = math.sqrt(h.n**2 + edge_term)
-    return _report(
-        "thm4.1-ee-lower", lhs, rhs, "ge", {"n": h.n, "m": h.m, "k": k, "t": None}
-    )
-
-
-def _moment2_upper_root(k: int | None, m: int) -> float:
-    return 0.0 if m == 0 else math.sqrt((k - 1) * m * (m * (k - 2) + 2))
+    return _Facts(h, k, spectrum).ee_lower_edges()
 
 
 def check_ee_upper_edges(
@@ -301,14 +348,7 @@ def check_ee_upper_edges(
 ) -> BoundReport:
     """Estrada index against n - 1 + exp(sqrt((k-1)m(m(k-2)+2))) from
     above; equality exactly on edgeless input."""
-    k = _resolve_k(h, k)
-    if spectrum is None:
-        spectrum = spectrum_of(h)
-    lhs = estrada_index(spectrum)
-    rhs = h.n - 1 + math.exp(_moment2_upper_root(k, h.m))
-    return _report(
-        "thm4.2-ee-upper", lhs, rhs, "le", {"n": h.n, "m": h.m, "k": k, "t": None}
-    )
+    return _Facts(h, k, spectrum).ee_upper_edges()
 
 
 def check_ee_upper_energy(
@@ -319,30 +359,7 @@ def check_ee_upper_energy(
     """Two energy-based Estrada upper bounds: the refined
     n + E - 1 - root + exp(root) with root = sqrt((k-1)m(m(k-2)+2)), and
     the coarse n - 1 + exp(E)."""
-    k = _resolve_k(h, k)
-    if spectrum is None:
-        spectrum = spectrum_of(h)
-    lhs = estrada_index(spectrum)
-    e_total = energy(spectrum)
-    root = _moment2_upper_root(k, h.m)
-    inputs = {"n": h.n, "m": h.m, "k": k, "t": None}
-    refined = _report(
-        "thm4.3-ee-upper-energy",
-        lhs,
-        h.n + e_total - 1 - root + math.exp(root),
-        "le",
-        inputs,
-        {"energy": e_total},
-    )
-    coarse = _report(
-        "rem4.4-ee-upper-energy",
-        lhs,
-        h.n - 1 + math.exp(e_total),
-        "le",
-        inputs,
-        {"energy": e_total},
-    )
-    return refined, coarse
+    return _Facts(h, k, spectrum).ee_upper_energy()
 
 
 def _complement_adjacency(a: np.ndarray, k: int) -> np.ndarray:
@@ -368,33 +385,7 @@ def check_nordhaus_gaddum(
 ) -> BoundReport:
     """Estrada index of h plus that of its k-uniform complement against
     2*exp((n-1)/2) + 2(n-1)*exp(-1/2) from below."""
-    return _nordhaus_gaddum(h, k, spectrum, None)
-
-
-def _nordhaus_gaddum(
-    h: Hypergraph, k: int | None, spectrum: Spectrum | None, complement: Spectrum | None
-) -> BoundReport:
-    """check_nordhaus_gaddum, given the complement's spectrum when it was
-    solved beforehand; None solves it here, after h's Estrada index."""
-    k = _resolve_k(h, k)
-    if k is None:
-        raise HypergraphError("complement of an edgeless hypergraph needs an explicit k")
-    if spectrum is None:
-        spectrum = spectrum_of(h)
-    ee = estrada_index(spectrum)
-    if complement is None:
-        complement = eigendecompose(_complement_adjacency(spectrum.matrix, k))
-    ee_bar = estrada_index(complement)
-    lhs = ee + ee_bar
-    rhs = 2 * math.exp((h.n - 1) / 2) + 2 * (h.n - 1) * math.exp(-0.5)
-    return _report(
-        "thm4.5-nordhaus-gaddum",
-        lhs,
-        rhs,
-        "ge",
-        {"n": h.n, "m": h.m, "k": k, "t": None},
-        {"ee": ee, "ee_complement": ee_bar},
-    )
+    return _Facts(h, k, spectrum).nordhaus_gaddum()
 
 
 def classify_two_eigenvalue(
@@ -486,44 +477,41 @@ def check_all_bounds(
     The adjacency A of h is built once.  The complement's matrix
     C(n-2,k-2)(J - I) - A and the probe's, A plus one on each pair of the
     first missing k-subset, come from it, and all of them are solved as
-    one stack.  Each spectrum is bitwise the one a lone solve gives.
+    one stack.  Each spectrum is bitwise the one a lone solve gives, and
+    every bound reads the one fact set of h.
     """
-    k = _resolve_k(h, k)
+    f = _Facts(h, k)
     a = adjacency(h)
     matrices = [a]
-    # a complement that cannot be built is left for check_nordhaus_gaddum
-    # to raise at its usual place, which comes before the probe is needed
-    if k is not None:
+    # a complement that cannot be built is left for the complement-sum
+    # bound to raise at its usual place, which comes before the probe is needed
+    if f.k is not None:
         with suppress(HypergraphError, OverflowError):
-            matrices.append(_complement_adjacency(a, k))
-    probe = _first_missing_edge(h, k) if len(matrices) > 1 else None
+            matrices.append(_complement_adjacency(a, f.k))
+    probe = _first_missing_edge(h, f.k) if len(matrices) > 1 else None
     if probe is not None:
         i, j = zip(*combinations(probe, 2))
         grown = a.copy()
         grown[i + j, j + i] += 1
         matrices.append(grown)
-    spectrum, *others = _solve(np.stack(matrices))
+    # the stacked spectra stand in for the fact set's own solves
+    f.spectrum, *others = _solve(np.stack(matrices))
+    if others:
+        f.complement = others[0]
     reports = [
-        check_sum_t_largest_matrix(spectrum.matrix, t, variant, spectrum=spectrum),
-        check_sum_t_largest_hypergraph(h, t, k, variant, spectrum=spectrum),
-        *check_moment2_bounds(h, k, spectrum=spectrum),
-        check_ee_lower_spectral(h, spectrum=spectrum),
-        check_ee_lower_edges(h, k, spectrum=spectrum),
-        check_ee_upper_edges(h, k, spectrum=spectrum),
-        *check_ee_upper_energy(h, k, spectrum=spectrum),
-        _nordhaus_gaddum(h, k, spectrum, others[0] if others else None),
+        check_sum_t_largest_matrix(a, t, variant, spectrum=f.spectrum),
+        f.sum_largest(t, variant),
+        *f.moment2_bounds(),
+        f.ee_lower_spectral(),
+        f.ee_lower_edges(),
+        f.ee_upper_edges(),
+        *f.ee_upper_energy(),
+        f.nordhaus_gaddum(),
     ]
     if probe is not None:
-        reports.append(
-            _report(
-                "ee-monotonicity",
-                estrada_index(spectrum),
-                estrada_index(others[1]),
-                "le",
-                {"n": h.n, "m": h.m, "k": k, "t": None},
-                {"added_edge": list(probe)},
-            )
-        )
+        ee_grown = estrada_index(others[1])
+        extra = {"added_edge": list(probe)}
+        reports.append(_report("ee-monotonicity", f.ee, ee_grown, "le", f.inputs, extra))
     return sorted(reports, key=lambda r: r.bound_id)
 
 
@@ -811,34 +799,22 @@ def verify_extremal(n_over: int, k: int) -> ExtremalReport:
 
 
 def bound_report_to_dict(report: BoundReport) -> dict:
-    return {
-        "bound_id": report.bound_id,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "slack": report.slack,
-        "holds": report.holds,
-        "equality": report.equality,
-        "inputs": report.inputs,
-        "extra": report.extra,
-    }
+    """The report's fields, in declaration order, as a JSON-ready dict."""
+    return dict(vars(report))
+
+
+#: the columns of ``bound_reports_to_csv``
+BOUND_CSV_HEADER = "bound_id,n,m,k,t,lhs,rhs,slack,holds,equality"
+
+
+def bound_csv_cells(r: BoundReport) -> list:
+    """One report's cells, in ``BOUND_CSV_HEADER`` order."""
+    inputs = (r.inputs.get(key) for key in "nmkt")
+    return [r.bound_id, *inputs, r.lhs, r.rhs, r.slack, r.holds, r.equality]
 
 
 def bound_reports_to_csv(reports: list[BoundReport]) -> str:
-    from .spectral import format_float
-
-    lines = ["bound_id,n,m,k,t,lhs,rhs,slack,holds,equality"]
-    for r in reports:
-        cells = [
-            r.bound_id,
-            *("" if r.inputs.get(key) is None else str(r.inputs[key]) for key in "nmkt"),
-            format_float(r.lhs),
-            format_float(r.rhs),
-            format_float(r.slack),
-            str(r.holds).lower(),
-            str(r.equality).lower(),
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return csv_text(BOUND_CSV_HEADER, map(bound_csv_cells, reports))
 
 
 def ordering_report_to_dict(report: OrderingReport) -> dict:
@@ -860,25 +836,12 @@ def ordering_report_to_dict(report: OrderingReport) -> dict:
 
 
 def ordering_reports_to_csv(reports: list[OrderingReport]) -> str:
-    from .spectral import format_float
-
-    lines = ["lemma_id,left,right,ee_left,ee_right,gap,strict_holds"]
-    for report in reports:
-        for inst in report.instances:
-            lines.append(
-                ",".join(
-                    [
-                        report.lemma_id,
-                        inst.left,
-                        inst.right,
-                        format_float(inst.ee_left),
-                        format_float(inst.ee_right),
-                        format_float(inst.gap),
-                        str(inst.strict_holds).lower(),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+    rows = (
+        [r.lemma_id, i.left, i.right, i.ee_left, i.ee_right, i.gap, i.strict_holds]
+        for r in reports
+        for i in r.instances
+    )
+    return csv_text("lemma_id,left,right,ee_left,ee_right,gap,strict_holds", rows)
 
 
 def extremal_report_to_dict(report: ExtremalReport) -> dict:

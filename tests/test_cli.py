@@ -16,7 +16,8 @@ from hypestra import (
     to_text,
     unicyclic_cm,
 )
-from hypestra.theorems import BoundReport
+from hypestra.spectral import format_float
+from hypestra.theorems import BoundReport, verify_extremal
 
 from conftest import family_fixtures
 from oracles import jacobi_eigh
@@ -400,3 +401,124 @@ class TestParser:
         cli.main(["gen", "fano"])
         assert len(parsers) == 2
         assert parsers[0] is parsers[1]
+
+
+def _failing_report():
+    return BoundReport(
+        bound_id="synthetic", lhs=1.0, rhs=0.0, slack=-1.0,
+        holds=False, equality=False, inputs={"n": 1, "m": 0, "k": None, "t": None},
+    )
+
+
+class TestVerifyFormats:
+    """Every verify suite renders the format it is asked for; text output
+    and exit codes are those of the text suites."""
+
+    BOUNDS = ("verify", "bounds", "--k", "3", "--budget", "3", "--seed", "5")
+
+    def test_bounds_json_when_all_hold(self, capsys):
+        code, out, _ = run(capsys, *self.BOUNDS, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {
+            "k": 3, "seed": 5, "checked": 3, "passed": True, "failures": []
+        }
+
+    def test_bounds_json_lists_failures(self, capsys, monkeypatch):
+        seen = []
+
+        def failing(h, k, variant):
+            seen.append(h)
+            return [_failing_report()]
+
+        monkeypatch.setattr(cli.th, "check_all_bounds", failing)
+        code, out, _ = run(capsys, *self.BOUNDS, "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert list(payload) == ["k", "seed", "checked", "passed", "failures"]
+        assert payload["passed"] is False
+        assert [f["instance"] for f in payload["failures"]] == [0, 1, 2]
+        for failure, h in zip(payload["failures"], seen):
+            assert list(failure) == ["instance", "hypergraph", "report"]
+            assert Hypergraph(**failure["hypergraph"]) == h
+            assert failure["report"]["bound_id"] == "synthetic"
+            assert failure["report"]["inputs"] == {"n": 1, "m": 0, "k": None, "t": None}
+
+    def test_bounds_csv(self, capsys, monkeypatch):
+        header = "instance,bound_id,n,m,k,t,lhs,rhs,slack,holds,equality"
+        assert run(capsys, *self.BOUNDS, "--format", "csv") == (0, header + "\n", "")
+        monkeypatch.setattr(cli.th, "check_all_bounds", lambda *a, **kw: [_failing_report()])
+        code, out, _ = run(capsys, *self.BOUNDS, "--format", "csv")
+        assert code == 1
+        assert out.splitlines() == [header] + [
+            f"{i},synthetic,1,0,,,1,0,-1,false,false" for i in range(3)
+        ]
+
+    def test_bounds_text_unchanged(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.th, "check_all_bounds", lambda *a, **kw: [_failing_report()])
+        code, out, _ = run(capsys, *self.BOUNDS[:4], "--budget", "1")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "checked 1 random 3-uniform hypergraph(s), seed=0"
+        assert lines[1].startswith('FAILED instance 0: synthetic on {"n": ')
+        assert lines[2:] == ["FAIL"]
+
+    def test_extremal_csv_in_ranking_order(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "extremal", "--nover", "4", "--k", "3", "--format", "csv"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "label,estrada"
+        # labels hold commas of their own, so the value is the last cell
+        expected = [f"{label},{format_float(ee)}" for label, ee in verify_extremal(4, 3).ranking]
+        assert lines[1:] == expected
+
+    @pytest.mark.parametrize("k", ["-1", "0", "1", "13"])
+    def test_bounds_k_out_of_range_exits_2(self, capsys, k):
+        code, out, err = run(capsys, "verify", "bounds", "--k", k, "--budget", "2")
+        assert (code, out, err) == (2, "", f"error: need 2 <= k <= 12, got k={k}\n")
+
+
+class TestExitCodes:
+    """Exit code 2 means bad input; an internal error propagates."""
+
+    def test_internal_value_error_propagates(self, capsys, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(cli.th, "check_all_bounds", broken)
+        path = tmp_path / "c23.txt"
+        run(capsys, "gen", "cycle:2,3", "--out", str(path))
+        with pytest.raises(ValueError, match="internal bug"):
+            cli.main(["check", str(path), "--k", "3"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--k", "3"),
+            ("spectrum",),
+            ("spectrum", "--smax", "3"),
+            ("complement", "--k", "3"),
+        ],
+    )
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"\xff\xfe\n")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("check", "--k", "3", "--t", "1"), "need 2 <= t <= n, got t=1, n=4"),
+            (("spectrum", "--smax", "-1"), "s_max must be >= 1, got -1"),
+        ],
+    )
+    def test_parameter_errors_exit_2(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "c23.txt"
+        run(capsys, "gen", "cycle:2,3", "--out", str(path))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (2, "", f"error: {message}\n")

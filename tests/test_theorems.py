@@ -13,6 +13,7 @@ from hypestra import (
     CharacterizationMismatchError,
     FamilyGrammarError,
     Hypergraph,
+    HypergraphError,
     THETA_PLUS_ONE,
     add_edge,
     adjacency,
@@ -471,6 +472,138 @@ class TestCheckAllBoundsOneSolve:
         check_all_bounds(complete_uniform(6, 3), 3)
         check_all_bounds(cycle(2, 3), 3)
         assert shapes == [(2, 6, 6), (3, 4, 4)]
+
+
+class TestCheckAllBoundsFactsOnce:
+    """check_all_bounds resolves k once and sums each solved matrix's
+    Estrada index once: h's, its complement's and, when a k-subset is
+    missing, the edge-addition probe's."""
+
+    def test_each_fact_computed_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(theorems, "uniformity", counted("k", hypercore.uniformity))
+        monkeypatch.setattr(theorems, "estrada_index", counted("ee", estrada_index))
+        checked = 0
+        for name, h, k in _check_instances():
+            solved = 2 if _first_missing(h, k) is None else 3
+            calls.clear()
+            try:
+                check_all_bounds(h, k)
+            except OverflowError:
+                assert calls["k"] == 1 and calls["ee"] <= solved, name
+                continue
+            assert calls == {"k": 1, "ee": solved}, name
+            checked += 1
+        assert checked > 200
+
+
+#: a 2-uniform ring plus one 3-edge
+_MIXED = Hypergraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 1, 2)])
+
+
+def _huge():
+    """The complete 3-uniform hypergraph on 40 vertices: lambda1 = 1482,
+    so its Estrada sum overflows."""
+    return complete_uniform(40, 3)
+
+
+def _huge_mixed():
+    return Hypergraph(40, [*complete_uniform(40, 3).edges, (0, 1)])
+
+
+_UNIFORM = "operation requires a uniform hypergraph"
+_EE_OVERFLOW = "estrada index overflows double precision (lambda1=1482)"
+_EXP = "math range error"
+
+
+class TestErrorPrecedence:
+    """Each public checker, called alone, raises the first error its bound
+    meets; facts computed once must not reorder them.  None means the
+    checker returns its reports."""
+
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            # non-uniform input
+            (lambda: check_sum_t_largest_hypergraph(_MIXED, 2), HypergraphError, _UNIFORM),
+            (lambda: check_moment2_bounds(_MIXED), HypergraphError, _UNIFORM),
+            (lambda: check_ee_lower_spectral(_MIXED), None, None),
+            (lambda: check_ee_lower_edges(_MIXED), HypergraphError, _UNIFORM),
+            (lambda: check_ee_upper_edges(_MIXED), HypergraphError, _UNIFORM),
+            (lambda: check_ee_upper_energy(_MIXED), HypergraphError, _UNIFORM),
+            (lambda: check_nordhaus_gaddum(_MIXED), HypergraphError, _UNIFORM),
+            (lambda: check_all_bounds(_MIXED), HypergraphError, _UNIFORM),
+            (lambda: check_sum_t_largest_matrix(adjacency(_MIXED), 2), None, None),
+            # the t range comes before uniformity
+            (
+                lambda: check_sum_t_largest_hypergraph(_MIXED, 1),
+                ValueError,
+                "need 2 <= t <= n, got t=1, n=4",
+            ),
+            (
+                lambda: check_sum_t_largest_hypergraph(_MIXED, 5),
+                ValueError,
+                "need 2 <= t <= n, got t=5, n=4",
+            ),
+            (
+                lambda: check_sum_t_largest_matrix(adjacency(_MIXED), 5),
+                ValueError,
+                "need 2 <= t <= n, got t=5, n=4",
+            ),
+            (lambda: check_all_bounds(_MIXED, t=5), HypergraphError, _UNIFORM),
+            # edgeless input without k
+            (
+                lambda: check_nordhaus_gaddum(edgeless(4)),
+                HypergraphError,
+                "complement of an edgeless hypergraph needs an explicit k",
+            ),
+            (
+                lambda: check_all_bounds(edgeless(4)),
+                HypergraphError,
+                "complement of an edgeless hypergraph needs an explicit k",
+            ),
+            # an Estrada sum past double precision
+            (lambda: check_sum_t_largest_hypergraph(_huge(), 2), None, None),
+            (lambda: check_moment2_bounds(_huge()), None, None),
+            (lambda: check_ee_lower_spectral(_huge()), OverflowError, _EE_OVERFLOW),
+            (lambda: check_ee_lower_edges(_huge()), OverflowError, _EE_OVERFLOW),
+            (lambda: check_ee_upper_edges(_huge()), OverflowError, _EE_OVERFLOW),
+            (lambda: check_ee_upper_energy(_huge()), OverflowError, _EE_OVERFLOW),
+            (lambda: check_nordhaus_gaddum(_huge()), OverflowError, _EE_OVERFLOW),
+            (lambda: check_all_bounds(_huge()), OverflowError, _EE_OVERFLOW),
+            (
+                lambda: check_all_bounds(_huge(), 3, 41),
+                ValueError,
+                "need 2 <= t <= n, got t=41, n=40",
+            ),
+            (
+                lambda: check_ee_lower_spectral(_huge_mixed()),
+                OverflowError,
+                "estrada index overflows double precision (lambda1=1482.05)",
+            ),
+            (lambda: check_ee_lower_edges(_huge_mixed()), HypergraphError, _UNIFORM),
+            # a finite Estrada index, but exp(sqrt((k-1)m(m(k-2)+2))) overflows
+            (lambda: check_ee_lower_edges(complete_uniform(16, 3)), None, None),
+            (lambda: check_ee_upper_edges(complete_uniform(16, 3)), OverflowError, _EXP),
+            (lambda: check_ee_upper_energy(complete_uniform(16, 3)), OverflowError, _EXP),
+            (lambda: check_nordhaus_gaddum(complete_uniform(16, 3)), None, None),
+            (lambda: check_all_bounds(complete_uniform(16, 3)), OverflowError, _EXP),
+        ],
+    )
+    def test_first_error(self, call, error, message):
+        if error is None:
+            call()
+            return
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestRingReduction:

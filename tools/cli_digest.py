@@ -10,17 +10,20 @@ byte-identical over the corpus, so an output change shows up as a diff:
     PYTHONPATH=new/src python3 tools/cli_digest.py > new.txt
     diff old.txt new.txt
 
-The corpus (4,347 calls, about 3 s on one core):
+The corpus (4,980 calls, about 4 s on one core):
 
 - ``check`` in text, JSON and CSV, with ``--t 2|3`` and ``--k`` at the
-  true k and k +- 1, and ``spectrum --smax 8`` in every format, on 200
-  seeded random inputs (k in {2, 3, 4}, n <= 12, edgeless and complete
-  ones among them) and on 3-uniform inputs at n = 24, 40 and 64 with
-  m = 2n;
+  true k and k +- 1, ``check --variant theta-plus-one`` at the true k,
+  and ``spectrum --smax 8`` in every format, on 200 seeded random inputs
+  (k in {2, 3, 4}, n <= 12, edgeless and complete ones among them) and
+  on 3-uniform inputs at n = 24, 40 and 64 with m = 2n;
 - ``check`` on n = 100, k = 51 inputs whose errors compete for the one
   line on stderr;
+- ``check`` (also with ``--t 1``), ``spectrum`` (also with ``--smax -1``)
+  and ``complement`` on a small input, on a file that is not UTF-8 and
+  on a missing file;
 - ``verify orderings|extremal|bounds`` and ``enumerate`` on the acceptance
-  grid, in every format;
+  grid, and ``verify bounds --variant theta-plus-one``, in every format;
 - ``gen`` for every family head, plus malformed labels.
 
 Inputs are written with the standard library alone, into a temporary
@@ -43,6 +46,7 @@ from itertools import combinations
 from hypestra import cli
 
 FORMATS = ("text", "json", "csv")
+THETA_PLUS_ONE = "theta-plus-one"
 
 
 def write_input(name: str, n: int, edges) -> str:
@@ -93,6 +97,13 @@ def precedence_inputs(rng: random.Random) -> list[str]:
     ]
 
 
+def undecodable() -> str:
+    """A text input whose bytes are not UTF-8."""
+    with open("latin1.txt", "wb") as fh:
+        fh.write("4\n0 1 2\n# caf\u00e9\n".encode("latin-1"))
+    return "latin1.txt"
+
+
 def corpus(rng: random.Random) -> list[list[str]]:
     calls = []
     for path, k in random_inputs(rng):
@@ -101,10 +112,18 @@ def corpus(rng: random.Random) -> list[list[str]]:
                 for fmt in FORMATS:
                     calls.append(["check", path, "--k", str(kk), "--t", t, "--format", fmt])
         for fmt in FORMATS:
+            variant = ["--variant", THETA_PLUS_ONE, "--format", fmt]
+            calls.append(["check", path, "--k", str(k), *variant])
             calls.append(["spectrum", path, "--smax", "8", "--format", fmt])
     for path in precedence_inputs(rng):
         calls.append(["check", path, "--k", "51", "--format", "json"])
         calls.append(["check", path, "--k", "51", "--t", "150"])
+    for path in (write_input("small.txt", 4, [(0, 1, 2), (0, 1, 3)]), undecodable(), "missing.txt"):
+        calls.append(["check", path, "--k", "3", "--t", "1"])
+        calls.append(["check", path, "--k", "3"])
+        calls.append(["spectrum", path, "--smax", "-1"])
+        calls.append(["spectrum", path])
+        calls.append(["complement", path, "--k", "3"])
     for fmt in FORMATS:
         for k in (3, 4):
             calls.append(["verify", "orderings", "--k", str(k), "--budget", "16", "--format", fmt])
@@ -118,6 +137,8 @@ def corpus(rng: random.Random) -> list[list[str]]:
                 calls.append(
                     ["verify", "bounds", "--k", str(k), "--budget", "20", "--seed", seed, "--format", fmt]
                 )
+            variant = ["--variant", THETA_PLUS_ONE, "--format", fmt]
+            calls.append(["verify", "bounds", "--k", str(k), "--budget", "20", *variant])
     labels = [
         "complete:6,3", "edgeless:5", "cycle:3,3", "xn:8,3", "star:3,4", "p3:4",
         "gss:3", "fano", "cm:3:2,1,0", "cm:4:1,0",
