@@ -13,7 +13,8 @@ import functools
 import json
 import random
 import sys
-from math import comb
+from json.encoder import encode_basestring_ascii
+from math import comb, isfinite
 
 from . import families as fam
 from . import theorems as th
@@ -29,6 +30,66 @@ from .spectral import (
 )
 
 _INPUT_ERRORS = (HypergraphError, fam.FamilyGrammarError, OverflowError, OSError)
+
+
+def _json_float(x: float) -> str:
+    if isfinite(x):
+        return float.__repr__(x)
+    if x != x:
+        return "NaN"
+    return "Infinity" if x > 0 else "-Infinity"
+
+
+#: the json module's text for each scalar type
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+#: the types json writes, in the order its encoder tests them
+_JSON_BASES = (str, type(None), bool, int, float, list, tuple, dict)
+
+
+def _json_text(payload) -> str:
+    """What ``json.dumps`` writes with an indent of 2, then a newline.
+
+    Python's C encoder takes no indent, so ``json.dumps`` would run its
+    pure-Python encoder, which resumes a generator for every token; this
+    writer joins each container's rendered items in one call instead.
+    Dict keys must be strings; any other key raises ``TypeError``.
+    """
+    return _json_value(payload, "\n") + "\n"
+
+
+def _json_value(x, newline: str) -> str:
+    """One value; ``newline`` is the line break and padding of its depth."""
+    kind = type(x)
+    if kind is not dict and kind is not list:
+        # a scalar, a tuple or a subclass (numpy's float64, say) is written
+        # as the first of json's types it is an instance of
+        kind = next((t for t in _JSON_BASES if isinstance(x, t)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        render = _JSON_SCALARS.get(kind)
+        if render is not None:
+            return render(x)
+    if not x:
+        return "{}" if kind is dict else "[]"
+    inner = newline + "  "
+    scalar = _JSON_SCALARS.get
+    items = []
+    if kind is dict:
+        for k, v in x.items():
+            render = scalar(type(v))
+            value = render(v) if render is not None else _json_value(v, inner)
+            items.append(encode_basestring_ascii(k) + ": " + value)
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    for v in x:
+        render = scalar(type(v))
+        items.append(render(v) if render is not None else _json_value(v, inner))
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -65,7 +126,7 @@ def cmd_spectrum(args) -> int:
     if walks is not None:
         summary["closed_walks"] = walks
     if args.format == "json":
-        _emit(json.dumps(summary, indent=2) + "\n", args.out)
+        _emit(_json_text(summary), args.out)
         return 0
     lines = [f"n {summary['n']}", f"m {h.m}"]
     lines += [f"eigenvalue {format_float(v)}" for v in summary["eigenvalues"]]
@@ -84,7 +145,7 @@ def cmd_spectrum(args) -> int:
 
 def _render_bound_reports(reports, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps([th.bound_report_to_dict(r) for r in reports], indent=2) + "\n"
+        return _json_text([th.bound_report_to_dict(r) for r in reports])
     if fmt == "csv":
         return th.bound_reports_to_csv(reports)
     lines = []
@@ -133,7 +194,7 @@ def cmd_enumerate(args) -> int:
             }
             for label, h, ee in scored
         ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
         return 0
     if args.format == "csv":
         rows = ((label, h.n, h.m, ee) for label, h, ee in scored)
@@ -149,7 +210,7 @@ def cmd_enumerate(args) -> int:
 def _verify_extremal(args) -> tuple[str, bool]:
     report = th.verify_extremal(args.nover, args.k)
     if args.format == "json":
-        return json.dumps(th.extremal_report_to_dict(report), indent=2) + "\n", report.passed
+        return _json_text(th.extremal_report_to_dict(report)), report.passed
     if args.format == "csv":
         return csv_text("label,estrada", report.ranking), report.passed
     lines = [f"extremal ranking for n_over={report.n_over} k={report.k} (n={report.n})"]
@@ -171,7 +232,7 @@ def _verify_orderings(args) -> tuple[str, bool]:
     ok = all(r.all_strict for r in reports)
     if args.format == "json":
         payload = [th.ordering_report_to_dict(r) for r in reports]
-        return json.dumps(payload, indent=2) + "\n", ok
+        return _json_text(payload), ok
     if args.format == "csv":
         return th.ordering_reports_to_csv(reports), ok
     lines = []
@@ -196,8 +257,10 @@ def _verify_bounds(args) -> tuple[str, bool]:
     # instances have at most 12 vertices
     if not 2 <= k <= 12:
         raise HypergraphError(f"need 2 <= k <= 12, got k={k}")
-    failures = []
     count = args.budget
+    if count < 0:
+        raise HypergraphError(f"need budget >= 0, got budget={count}")
+    failures = []
     for index in range(count):
         n = rng.randint(max(k, 3), 12)
         m = rng.randint(1, min(comb(n, k), 3 * n))
@@ -213,7 +276,7 @@ def _verify_bounds(args) -> tuple[str, bool]:
             for i, h, r in failures
         ]
         payload = {"k": k, "seed": args.seed, "checked": count, "passed": ok, "failures": failed}
-        return json.dumps(payload, indent=2) + "\n", ok
+        return _json_text(payload), ok
     if args.format == "csv":
         rows = ([index, *th.bound_csv_cells(r)] for index, _, r in failures)
         return csv_text("instance," + th.BOUND_CSV_HEADER, rows), ok

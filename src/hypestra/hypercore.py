@@ -353,9 +353,19 @@ def from_json(text: str) -> Hypergraph:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ParseError('JSON object must have "n" and "edges" keys')
+    n, edges = obj["n"], obj["edges"]
+    # json.loads gives int only for integer literals; true/false are bool
+    if type(n) is not int:
+        raise ParseError(f'"n" must be an integer, got {json.dumps(n)}')
+    if type(edges) is not list or any(type(e) is not list for e in edges):
+        raise ParseError('"edges" must be a list of vertex lists')
+    for edge in edges:
+        for v in edge:
+            if type(v) is not int:
+                raise ParseError(f"edge {json.dumps(edge)}: vertex {json.dumps(v)} is not an integer")
     try:
-        return Hypergraph(obj["n"], obj["edges"])
-    except (HypergraphError, TypeError) as exc:
+        return Hypergraph(n, edges)
+    except HypergraphError as exc:
         raise ParseError(str(exc)) from None
 
 

@@ -414,12 +414,17 @@ def _cell(value) -> str:
         return str(value).lower()
     if isinstance(value, float):
         return format_float(value)
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def csv_text(header: str, rows) -> str:
     """The header line, then one line per row of cells: None as an empty
-    cell, bools in lower case, floats through ``format_float``."""
+    cell, bools in lower case, floats through ``format_float``, and a cell
+    holding a comma, a double quote or a line break quoted with its quotes
+    doubled (RFC 4180)."""
     return "\n".join([header, *(",".join(map(_cell, row)) for row in rows)]) + "\n"
 
 

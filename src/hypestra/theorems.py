@@ -653,6 +653,8 @@ def verify_ordering_lemmas(k: int, size_budget: int) -> list[OrderingReport]:
     """
     if k < 3:
         raise HypergraphError(f"ordering suites need k >= 3, got {k}")
+    if size_budget < 0:
+        raise HypergraphError(f"ordering suites need a size budget >= 0, got {size_budget}")
     gss = [_pair(f"cycle:3,{k}", f"gss:{k}")] if 3 * (k - 1) <= size_budget else []
     lemmas = [
         ("lemma2.6-ring-reduction", _lemma26_sides(k, size_budget)),

@@ -1,5 +1,8 @@
 import argparse
+import csv
+import io
 import json
+import math
 import random
 
 import numpy as np
@@ -469,9 +472,46 @@ class TestVerifyFormats:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "label,estrada"
-        # labels hold commas of their own, so the value is the last cell
-        expected = [f"{label},{format_float(ee)}" for label, ee in verify_extremal(4, 3).ranking]
+        # labels hold commas of their own, so they are quoted
+        expected = [f'"{label}",{format_float(ee)}' for label, ee in verify_extremal(4, 3).ranking]
         assert lines[1:] == expected
+
+    @pytest.mark.parametrize(
+        "argv,label_columns",
+        [
+            (("enumerate", "--nover", "4", "--k", "3"), ["label"]),
+            (("verify", "extremal", "--nover", "4", "--k", "3"), ["label"]),
+            (("verify", "orderings", "--k", "3", "--budget", "12"), ["left", "right"]),
+        ],
+    )
+    def test_csv_rows_read_back(self, capsys, argv, label_columns):
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows
+        assert all(len(row) == len(header) for row in rows)
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        if argv[0] == "enumerate":
+            expected = [[e["label"]] for e in payload]
+        elif argv[1] == "extremal":
+            expected = [[label] for label, _ in payload["ranking"]]
+        else:
+            expected = [[i["left"], i["right"]] for r in payload for i in r["instances"]]
+        columns = [header.index(name) for name in label_columns]
+        assert [[row[c] for c in columns] for row in rows] == expected
+        assert any("," in label for labels in expected for label in labels)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("bounds", "--budget", "-3"), "need budget >= 0, got budget=-3"),
+            (("orderings", "--budget", "-1"), "ordering suites need a size budget >= 0, got -1"),
+        ],
+    )
+    def test_negative_budget_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("k", ["-1", "0", "1", "13"])
     def test_bounds_k_out_of_range_exits_2(self, capsys, k):
@@ -481,6 +521,22 @@ class TestVerifyFormats:
 
 class TestExitCodes:
     """Exit code 2 means bad input; an internal error propagates."""
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"n": 3.0, "edges": [[0, 1]]}', '"n" must be an integer, got 3.0'),
+            ('{"n": true, "edges": [[0, 1]]}', '"n" must be an integer, got true'),
+            ('{"n": NaN, "edges": [[0, 1]]}', '"n" must be an integer, got NaN'),
+            ('{"n": 1e400, "edges": [[0, 1]]}', '"n" must be an integer, got Infinity'),
+            ('{"n": 3, "edges": [[0.5, 1]]}', "edge [0.5, 1]: vertex 0.5 is not an integer"),
+        ],
+    )
+    def test_non_integer_json_exits_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text + "\n")
+        code, out, err = run(capsys, "check", str(path), "--k", "2")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_internal_value_error_propagates(self, capsys, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
@@ -522,3 +578,92 @@ class TestExitCodes:
         run(capsys, "gen", "cycle:2,3", "--out", str(path))
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2) + "\n"
+
+
+class _Float(float):
+    pass
+
+
+class _Text(str):
+    pass
+
+
+class TestJsonText:
+    """``cli._json_text`` writes what ``json.dumps`` writes with an indent
+    of 2, then a newline, byte for byte."""
+
+    CASES = [
+        "", "plain", "caf\u00e9 \u2028 \U0001f600", "\x00\x1f\x7f\t\n\r", '"\\/', "\ud800",
+        0, -1, 2**64, -(2**64) - 1, 2**200,
+        0.0, -0.0, 0.1, 1e-320, 1.7976931348623157e308, 1e16, -2.5,
+        math.nan, math.inf, -math.inf,
+        True, False, None,
+        [], {}, (), [[]], [{}], {"a": []}, ((1, 2), (3,)),
+        {"k\u00e9y": [1, 2.5, None, True, "x"], "nested": {"deep": [[{"x": -0.0}]]}},
+        [np.float64(1.5), np.float64(-0.0), np.float64("nan")],
+        [_Float(2.0), _Text("sub"), {_Text("k"): _Float("inf")}],
+    ]
+
+    @pytest.mark.parametrize("value", CASES, ids=range(len(CASES)))
+    def test_fixed_cases(self, value):
+        assert cli._json_text(value) == _dumps(value)
+
+    @pytest.mark.parametrize(
+        "value", [np.int64(3), {1, 2}, b"x", [object()], {"a": {(1,): 2}}, {1: 2}], ids=range(6)
+    )
+    def test_unserializable_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+    def test_random_values(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        scalars = st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(),
+            st.integers(min_value=2**64) | st.integers(max_value=-(2**64)),
+            st.floats(),
+            st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+            st.text(),
+            st.text(st.characters(max_codepoint=0x1F) | st.characters(min_codepoint=0x80)),
+        )
+        values = st.recursive(
+            scalars,
+            lambda inner: st.lists(inner, max_size=4)
+            | st.lists(inner, max_size=4).map(tuple)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+            max_leaves=24,
+        )
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(values)
+        def check(value):
+            assert cli._json_text(value) == _dumps(value)
+
+        check()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "{path}", "--smax", "4"),
+            ("check", "{path}", "--k", "3"),
+            ("enumerate", "--nover", "3", "--k", "3"),
+            ("verify", "extremal", "--nover", "3", "--k", "3"),
+            ("verify", "orderings", "--k", "3", "--budget", "10"),
+            ("verify", "bounds", "--k", "3", "--budget", "3"),
+        ],
+        ids=lambda argv: "-".join(argv[:2]).replace("-{path}", ""),
+    )
+    def test_cli_output_is_json_dumps(self, capsys, tmp_path, argv):
+        path = tmp_path / "c33.txt"
+        run(capsys, "gen", "cm:3:1,0,1", "--out", str(path))
+        argv = [a.format(path=path) for a in argv]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out == _dumps(json.loads(out))

@@ -297,3 +297,23 @@ class TestSerialization:
             from_json("[1, 2]")
         with pytest.raises(ParseError, match="JSON"):
             from_json("{broken")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"n": 3.0, "edges": [[0, 1]]}', '"n" must be an integer, got 3.0'),
+            ('{"n": true, "edges": [[0, 1]]}', '"n" must be an integer, got true'),
+            ('{"n": NaN, "edges": [[0, 1]]}', '"n" must be an integer, got NaN'),
+            ('{"n": 1e400, "edges": [[0, 1]]}', '"n" must be an integer, got Infinity'),
+            ('{"n": 3, "edges": [[0.5, 1]]}', "edge [0.5, 1]: vertex 0.5 is not an integer"),
+            ('{"n": 3, "edges": [[0, 1.0]]}', "edge [0, 1.0]: vertex 1.0 is not an integer"),
+            ('{"n": 3, "edges": [[false, 1]]}', "edge [false, 1]: vertex false is not an integer"),
+            ('{"n": 3, "edges": [[0, "1"]]}', 'edge [0, "1"]: vertex "1" is not an integer'),
+            ('{"n": 3, "edges": 5}', '"edges" must be a list of vertex lists'),
+            ('{"n": 3, "edges": [{"0": 1}]}', '"edges" must be a list of vertex lists'),
+        ],
+    )
+    def test_json_takes_integers_only(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            from_json(text)
+        assert str(exc.value) == message

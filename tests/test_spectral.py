@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import random
 import time
@@ -31,7 +33,7 @@ from hypestra import (
     walk_dominance,
 )
 from hypestra import spectral
-from hypestra.spectral import format_float, spectrum_to_csv, summary_to_dict
+from hypestra.spectral import csv_text, format_float, spectrum_to_csv, summary_to_dict
 
 from conftest import family_fixtures
 
@@ -516,6 +518,17 @@ class TestExports:
         assert lines[0] == "eigenvalue"
         assert lines[1] == "3.23606797750"
         assert lines[-1] == "-2"
+
+    def test_csv_quotes_cells_as_rfc_4180(self):
+        cells = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "plain"]
+        text = csv_text("a,b,c,d,e", [[*cells, None, True, 2]])
+        assert text == 'a,b,c,d,e\n"a,b","say ""hi""","two\nlines","cr\rhere",plain,,true,2\n'
+        assert list(csv.reader(io.StringIO(text)))[1] == [*cells, "", "true", "2"]
+        # csv.writer quotes the same cells, except that it leaves a lone
+        # carriage return bare, which its own reader then rejects
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([*cells[:3], cells[4]])
+        assert csv_text("h", [[*cells[:3], cells[4]]]) == "h\n" + buffer.getvalue()
 
     def test_summary_dict_keys(self):
         payload = summary_to_dict(spectrum_of(cycle(2, 3)))

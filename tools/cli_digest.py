@@ -2,7 +2,8 @@
 
 Runs every call of the corpus through in-process ``hypestra.cli.main``,
 against whichever ``hypestra`` is importable, and prints one line per call:
-the SHA-256 of its stdout, stderr and exit code, two spaces, then its argv.
+the SHA-256 of its stdout, stderr and exit code (or the exception that
+escaped ``main``), two spaces, then its argv.
 Two trees print the same lines exactly when their CLI output is
 byte-identical over the corpus, so an output change shows up as a diff:
 
@@ -10,7 +11,7 @@ byte-identical over the corpus, so an output change shows up as a diff:
     PYTHONPATH=new/src python3 tools/cli_digest.py > new.txt
     diff old.txt new.txt
 
-The corpus (4,980 calls, about 4 s on one core):
+The corpus (4,992 calls, about 4 s on one core):
 
 - ``check`` in text, JSON and CSV, with ``--t 2|3`` and ``--k`` at the
   true k and k +- 1, ``check --variant theta-plus-one`` at the true k,
@@ -22,6 +23,9 @@ The corpus (4,980 calls, about 4 s on one core):
 - ``check`` (also with ``--t 1``), ``spectrum`` (also with ``--smax -1``)
   and ``complement`` on a small input, on a file that is not UTF-8 and
   on a missing file;
+- ``check`` and ``spectrum`` on JSON inputs whose n is 3.0, true, NaN or
+  1e400, or whose vertex is 0.5, and ``verify bounds|orderings`` with
+  ``--budget -1``;
 - ``verify orderings|extremal|bounds`` and ``enumerate`` on the acceptance
   grid, and ``verify bounds --variant theta-plus-one``, in every format;
 - ``gen`` for every family head, plus malformed labels.
@@ -104,6 +108,21 @@ def undecodable() -> str:
     return "latin1.txt"
 
 
+def non_integer_inputs() -> list[str]:
+    """JSON inputs whose vertex count or a vertex is not an integer."""
+    texts = {
+        "n-float.json": '{"n": 3.0, "edges": [[0, 1]]}',
+        "n-true.json": '{"n": true, "edges": [[0, 1]]}',
+        "n-nan.json": '{"n": NaN, "edges": [[0, 1]]}',
+        "n-huge.json": '{"n": 1e400, "edges": [[0, 1]]}',
+        "vertex-float.json": '{"n": 3, "edges": [[0.5, 1]]}',
+    }
+    for name, text in texts.items():
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    return list(texts)
+
+
 def corpus(rng: random.Random) -> list[list[str]]:
     calls = []
     for path, k in random_inputs(rng):
@@ -124,6 +143,11 @@ def corpus(rng: random.Random) -> list[list[str]]:
         calls.append(["spectrum", path, "--smax", "-1"])
         calls.append(["spectrum", path])
         calls.append(["complement", path, "--k", "3"])
+    for path in non_integer_inputs():
+        calls.append(["check", path, "--k", "2", "--format", "json"])
+        calls.append(["spectrum", path])
+    for suite in ("bounds", "orderings"):
+        calls.append(["verify", suite, "--budget", "-1"])
     for fmt in FORMATS:
         for k in (3, 4):
             calls.append(["verify", "orderings", "--k", str(k), "--budget", "16", "--format", fmt])
@@ -157,6 +181,8 @@ def digest(argv: list[str]) -> str:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:  # an uncaught error is an outcome to compare too
+            code = f"{type(exc).__name__}: {exc}"
     payload = json.dumps([out.getvalue(), err.getvalue(), code])
     return hashlib.sha256(payload.encode()).hexdigest()
 
