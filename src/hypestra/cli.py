@@ -1,5 +1,9 @@
 """Command line surface: generate families, compute spectra, run checks.
 
+Every output format is written here: floats to 12 significant digits,
+RFC 4180 CSV cells, and JSON as ``json.dumps`` writes it with an indent
+of 2.
+
 Exit codes: 0 when every requested check holds, 1 when a check fails,
 2 on input errors (bad grammar, malformed files, invalid parameters).
 Output is deterministic byte-for-byte for a fixed command line and seed
@@ -16,18 +20,20 @@ import sys
 from json.encoder import encode_basestring_ascii
 from math import comb, isfinite
 
+import numpy as np
+
 from . import families as fam
 from . import theorems as th
-from .hypercore import Hypergraph, HypergraphError, read_file, to_json, to_text, write_file
-from .spectral import (
-    csv_text,
-    estrada_index,
-    format_float,
-    spectra_of,
-    spectrum_of,
-    spectrum_to_csv,
-    summary_to_dict,
+from .hypercore import (
+    Hypergraph,
+    HypergraphError,
+    complement_uniform,
+    read_file,
+    to_json,
+    to_text,
+    write_file,
 )
+from .spectral import estrada_index, spectra_of, spectrum_of, summarize
 
 _INPUT_ERRORS = (HypergraphError, fam.FamilyGrammarError, OverflowError, OSError)
 
@@ -92,6 +98,55 @@ def _json_value(x, newline: str) -> str:
     return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
+def _rounded(x: float) -> float:
+    """x rounded to 12 significant digits, as every output reports it."""
+    return float(f"{x:.12g}")
+
+
+def format_float(x: float) -> str:
+    """Render with 12 significant digits, locale independent.
+
+    The integer test runs on the value rounded to those 12 digits, so a
+    float one ulp off an integer prints as that integer.
+    """
+    rounded = _rounded(x)
+    if rounded.is_integer() and abs(rounded) < 1e15:
+        return np.format_float_positional(
+            rounded, precision=12, unique=False, fractional=False, trim="-"
+        )
+    return np.format_float_positional(x, precision=12, unique=False, fractional=False)
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format_float(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_text(header: str, rows) -> str:
+    """The header line, then one line per row of cells: None as an empty
+    cell, bools in lower case, floats through ``format_float``, and a cell
+    holding a comma, a double quote or a line break quoted with its quotes
+    doubled (RFC 4180)."""
+    return "\n".join([header, *(",".join(map(_cell, row)) for row in rows)]) + "\n"
+
+
+#: the columns of a bound report, in ``_bound_cells`` order
+_BOUND_CSV_HEADER = "bound_id,n,m,k,t,lhs,rhs,slack,holds,equality"
+
+
+def _bound_cells(r: th.BoundReport) -> list:
+    inputs = (r.inputs.get(key) for key in "nmkt")
+    return [r.bound_id, *inputs, r.lhs, r.rhs, r.slack, r.holds, r.equality]
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -115,39 +170,50 @@ def cmd_gen(args) -> int:
 
 def cmd_spectrum(args) -> int:
     h = read_file(args.input)
+    if args.smax < 0:
+        raise HypergraphError(f"s_max must be >= 1, got {args.smax}")
     spectrum = spectrum_of(h)
+    # solver-noise zeros are reported as exact zeros
+    tolerance = spectrum.zero_tolerance
+    eigenvalues = [0.0 if abs(v) <= tolerance else v for v in spectrum.eigenvalues.tolist()]
     if args.format == "csv":
-        _emit(spectrum_to_csv(spectrum), args.out)
+        _emit(csv_text("eigenvalue", ([v] for v in eigenvalues)), args.out)
         return 0
-    summary = summary_to_dict(spectrum, walk_max=args.smax)
-    # the output lists "m" ahead of the walk table
-    walks = summary.pop("closed_walks", None)
-    summary["m"] = h.m
-    if walks is not None:
-        summary["closed_walks"] = walks
+    s = summarize(spectrum, walk_max=args.smax)
+    summary = {
+        "n": h.n,
+        "lambda1": _rounded(s.lambda1),
+        "estrada": _rounded(s.estrada),
+        "energy": _rounded(s.energy),
+        "negative_count": s.negative_count,
+        "distinct_count": s.distinct_count,
+        "moments": [mt if isinstance(mt, int) else _rounded(mt) for mt in s.moments],
+        "eigenvalues": [_rounded(v) for v in eigenvalues],
+        "m": h.m,
+    }
+    if args.smax:
+        summary["closed_walks"] = {str(u): list(c) for u, c in enumerate(s.closed_walks)}
     if args.format == "json":
         _emit(_json_text(summary), args.out)
         return 0
-    lines = [f"n {summary['n']}", f"m {h.m}"]
+    lines = [f"n {h.n}", f"m {h.m}"]
     lines += [f"eigenvalue {format_float(v)}" for v in summary["eigenvalues"]]
     for key in ("lambda1", "estrada", "energy"):
         lines.append(f"{key} {format_float(summary[key])}")
-    lines.append(f"negative_count {summary['negative_count']}")
-    lines.append(f"distinct_count {summary['distinct_count']}")
+    lines.append(f"negative_count {s.negative_count}")
+    lines.append(f"distinct_count {s.distinct_count}")
     lines += [f"moment {t} {v}" for t, v in enumerate(summary["moments"])]
-    if args.smax:
-        for u in range(h.n):
-            counts = " ".join(map(str, summary["closed_walks"][str(u)]))
-            lines.append(f"closed_walks {u} {counts}")
+    for u, counts in enumerate(s.closed_walks):
+        lines.append(f"closed_walks {u} {' '.join(map(str, counts))}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _render_bound_reports(reports, fmt: str) -> str:
     if fmt == "json":
-        return _json_text([th.bound_report_to_dict(r) for r in reports])
+        return _json_text([vars(r) for r in reports])
     if fmt == "csv":
-        return th.bound_reports_to_csv(reports)
+        return csv_text(_BOUND_CSV_HEADER, map(_bound_cells, reports))
     lines = []
     for r in reports:
         lines.append(
@@ -169,8 +235,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_complement(args) -> int:
-    from .hypercore import complement_uniform
-
     h = read_file(args.input)
     _write_hypergraph(complement_uniform(h, args.k), args.out)
     return 0
@@ -189,7 +253,7 @@ def cmd_enumerate(args) -> int:
                 "label": label,
                 "n": h.n,
                 "m": h.m,
-                "estrada": float(f"{ee:.12g}"),
+                "estrada": _rounded(ee),
                 "edges": [list(edge) for edge in h.edges],
             }
             for label, h, ee in scored
@@ -210,7 +274,7 @@ def cmd_enumerate(args) -> int:
 def _verify_extremal(args) -> tuple[str, bool]:
     report = th.verify_extremal(args.nover, args.k)
     if args.format == "json":
-        return _json_text(th.extremal_report_to_dict(report)), report.passed
+        return _json_text(vars(report)), report.passed
     if args.format == "csv":
         return csv_text("label,estrada", report.ranking), report.passed
     lines = [f"extremal ranking for n_over={report.n_over} k={report.k} (n={report.n})"]
@@ -227,14 +291,30 @@ def _verify_extremal(args) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", report.passed
 
 
+#: the JSON keys and CSV columns of an ordering instance, in output order
+_INSTANCE_FIELDS = ("left", "right", "ee_left", "ee_right", "gap", "strict_holds")
+
+
 def _verify_orderings(args) -> tuple[str, bool]:
     reports = th.verify_ordering_lemmas(args.k, args.budget)
     ok = all(r.all_strict for r in reports)
     if args.format == "json":
-        payload = [th.ordering_report_to_dict(r) for r in reports]
+        payload = [
+            {
+                "lemma_id": r.lemma_id,
+                "all_strict": r.all_strict,
+                "instances": [{f: getattr(i, f) for f in _INSTANCE_FIELDS} for i in r.instances],
+            }
+            for r in reports
+        ]
         return _json_text(payload), ok
     if args.format == "csv":
-        return th.ordering_reports_to_csv(reports), ok
+        rows = (
+            [r.lemma_id, *(getattr(i, f) for f in _INSTANCE_FIELDS)]
+            for r in reports
+            for i in r.instances
+        )
+        return csv_text("lemma_id," + ",".join(_INSTANCE_FIELDS), rows), ok
     lines = []
     for r in reports:
         lines.append(
@@ -270,16 +350,15 @@ def _verify_bounds(args) -> tuple[str, bool]:
                 failures.append((index, h, r))
     ok = not failures
     if args.format == "json":
-        as_dict = th.bound_report_to_dict
         failed = [
-            {"instance": i, "hypergraph": json.loads(to_json(h)), "report": as_dict(r)}
+            {"instance": i, "hypergraph": json.loads(to_json(h)), "report": vars(r)}
             for i, h, r in failures
         ]
         payload = {"k": k, "seed": args.seed, "checked": count, "passed": ok, "failures": failed}
         return _json_text(payload), ok
     if args.format == "csv":
-        rows = ([index, *th.bound_csv_cells(r)] for index, _, r in failures)
-        return csv_text("instance," + th.BOUND_CSV_HEADER, rows), ok
+        rows = ([index, *_bound_cells(r)] for index, _, r in failures)
+        return csv_text("instance," + _BOUND_CSV_HEADER, rows), ok
     lines = [f"checked {count} random {k}-uniform hypergraph(s), seed={args.seed}"]
     for index, h, r in failures:
         lines.append(f"FAILED instance {index}: {r.bound_id} on {to_json(h)}")

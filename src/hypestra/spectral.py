@@ -144,14 +144,19 @@ def as_symmetric(matrix) -> np.ndarray:
     return a
 
 
-def _spectra(stack: np.ndarray) -> list[Spectrum]:
-    """Spectra of a read-only (B, n, n) stack of exactly symmetric
-    matrices from one eigvalsh call, eigenvalues descending.
+def _solve(stack: np.ndarray) -> list[Spectrum]:
+    """Spectra of a (B, n, n) stack of one order from one eigvalsh call,
+    eigenvalues descending, once every matrix is checked to be exactly
+    symmetric; the stack is made read-only, as each spectrum keeps its
+    matrix.
 
     LAPACK solves each matrix of the stack on its own, so every spectrum
     is bitwise the one a one-matrix call gives.  The Frobenius norms are
     row-wise dot products, the same sums ``np.linalg.norm`` takes.
     """
+    stack.flags.writeable = False
+    if not (stack == stack.transpose(0, 2, 1)).all():
+        raise ValueError("matrix is not exactly symmetric")
     f = stack.astype(float)
     values = np.linalg.eigvalsh(f)[:, ::-1].copy()
     b, n, _ = f.shape
@@ -160,19 +165,9 @@ def _spectra(stack: np.ndarray) -> list[Spectrum]:
     return [Spectrum(v, a, 1e-9 * max(1.0, fro), fro) for v, a, fro in zip(values, stack, fros)]
 
 
-def _solve(stack: np.ndarray) -> list[Spectrum]:
-    """Spectra of a (B, n, n) stack of one order from one eigvalsh call,
-    once every matrix is checked to be exactly symmetric; the stack is
-    made read-only, as each spectrum keeps its matrix."""
-    stack.flags.writeable = False
-    if not (stack == stack.transpose(0, 2, 1)).all():
-        raise ValueError("matrix is not exactly symmetric")
-    return _spectra(stack)
-
-
 def eigendecompose(matrix) -> Spectrum:
     """Spectrum of a real symmetric matrix, eigenvalues descending."""
-    return _spectra(as_symmetric(matrix)[None])[0]
+    return _solve(as_symmetric(matrix)[None])[0]
 
 
 def spectrum_of(h: Hypergraph) -> Spectrum:
@@ -380,78 +375,3 @@ def walk_dominance(h: Hypergraph, u: int, v: int, s_max: int) -> str:
     if u_above:
         return WEAK
     return EQUAL
-
-
-# --- report rendering -------------------------------------------------------
-
-
-def format_float(x: float) -> str:
-    """Render with 12 significant digits, locale independent.
-
-    The integer test runs on the value rounded to those 12 digits, so a
-    float one ulp off an integer prints as that integer.
-    """
-    rounded = float(f"{x:.12g}")
-    if rounded.is_integer() and abs(rounded) < 1e15:
-        return np.format_float_positional(
-            rounded, precision=12, unique=False, fractional=False, trim="-"
-        )
-    return np.format_float_positional(x, precision=12, unique=False, fractional=False)
-
-
-def _snapped_eigenvalues(spectrum: Spectrum) -> list[float]:
-    """Eigenvalues with solver-noise zeros reported as exact zeros."""
-    return [
-        0.0 if abs(v) <= spectrum.zero_tolerance else float(v)
-        for v in spectrum.eigenvalues
-    ]
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return format_float(value)
-    text = str(value)
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def csv_text(header: str, rows) -> str:
-    """The header line, then one line per row of cells: None as an empty
-    cell, bools in lower case, floats through ``format_float``, and a cell
-    holding a comma, a double quote or a line break quoted with its quotes
-    doubled (RFC 4180)."""
-    return "\n".join([header, *(",".join(map(_cell, row)) for row in rows)]) + "\n"
-
-
-def spectrum_to_csv(spectrum: Spectrum) -> str:
-    """CSV with a single ``eigenvalue`` column, descending."""
-    return csv_text("eigenvalue", ([v] for v in _snapped_eigenvalues(spectrum)))
-
-
-def summary_to_dict(spectrum: Spectrum, max_moment: int = 8, walk_max: int = 0) -> dict:
-    """JSON-ready summary object (lambda1, estrada, energy, counts, moments,
-    and a ``closed_walks`` table keyed by vertex for a positive walk_max);
-    exact integer moments stay integers."""
-    s = summarize(spectrum, max_moment, walk_max)
-
-    def rounded(x: float) -> float:
-        return float(f"{x:.12g}")
-
-    out = {
-        "n": spectrum.n,
-        "lambda1": rounded(s.lambda1),
-        "estrada": rounded(s.estrada),
-        "energy": rounded(s.energy),
-        "negative_count": s.negative_count,
-        "distinct_count": s.distinct_count,
-        "moments": [mt if isinstance(mt, int) else rounded(mt) for mt in s.moments],
-        "eigenvalues": [rounded(v) for v in _snapped_eigenvalues(spectrum)],
-    }
-    if walk_max:
-        out["closed_walks"] = {str(u): list(c) for u, c in enumerate(s.closed_walks)}
-    return out

@@ -34,7 +34,6 @@ from .spectral import (
     _solve,
     adjacency,
     as_symmetric,
-    csv_text,
     distinct_eigenvalues,
     eigendecompose,
     energy,
@@ -795,73 +794,3 @@ def verify_extremal(n_over: int, k: int) -> ExtremalReport:
         ),
         scope_note=_SCOPE_NOTE,
     )
-
-
-# --- serialization -----------------------------------------------------------
-
-
-def bound_report_to_dict(report: BoundReport) -> dict:
-    """The report's fields, in declaration order, as a JSON-ready dict."""
-    return dict(vars(report))
-
-
-#: the columns of ``bound_reports_to_csv``
-BOUND_CSV_HEADER = "bound_id,n,m,k,t,lhs,rhs,slack,holds,equality"
-
-
-def bound_csv_cells(r: BoundReport) -> list:
-    """One report's cells, in ``BOUND_CSV_HEADER`` order."""
-    inputs = (r.inputs.get(key) for key in "nmkt")
-    return [r.bound_id, *inputs, r.lhs, r.rhs, r.slack, r.holds, r.equality]
-
-
-def bound_reports_to_csv(reports: list[BoundReport]) -> str:
-    return csv_text(BOUND_CSV_HEADER, map(bound_csv_cells, reports))
-
-
-def ordering_report_to_dict(report: OrderingReport) -> dict:
-    return {
-        "lemma_id": report.lemma_id,
-        "all_strict": report.all_strict,
-        "instances": [
-            {
-                "left": inst.left,
-                "right": inst.right,
-                "ee_left": inst.ee_left,
-                "ee_right": inst.ee_right,
-                "gap": inst.gap,
-                "strict_holds": inst.strict_holds,
-            }
-            for inst in report.instances
-        ],
-    }
-
-
-def ordering_reports_to_csv(reports: list[OrderingReport]) -> str:
-    rows = (
-        [r.lemma_id, i.left, i.right, i.ee_left, i.ee_right, i.gap, i.strict_holds]
-        for r in reports
-        for i in r.instances
-    )
-    return csv_text("lemma_id,left,right,ee_left,ee_right,gap,strict_holds", rows)
-
-
-def extremal_report_to_dict(report: ExtremalReport) -> dict:
-    return {
-        "n_over": report.n_over,
-        "k": report.k,
-        "n": report.n,
-        "ranking": [[label, ee] for label, ee in report.ranking],
-        "max_labels": list(report.max_labels),
-        "second_labels": list(report.second_labels),
-        "expected_max_label": report.expected_max_label,
-        "expected_second_label": report.expected_second_label,
-        "max_is_expected": report.max_is_expected,
-        "second_is_expected": report.second_is_expected,
-        "max_unique": report.max_unique,
-        "diameter_max": report.diameter_max,
-        "diameter_second": report.diameter_second,
-        "diameters_expected": report.diameters_expected,
-        "passed": report.passed,
-        "scope_note": report.scope_note,
-    }

@@ -19,7 +19,6 @@ from hypestra import (
     to_text,
     unicyclic_cm,
 )
-from hypestra.spectral import format_float
 from hypestra.theorems import BoundReport, verify_extremal
 
 from conftest import family_fixtures
@@ -473,7 +472,7 @@ class TestVerifyFormats:
         lines = out.splitlines()
         assert lines[0] == "label,estrada"
         # labels hold commas of their own, so they are quoted
-        expected = [f'"{label}",{format_float(ee)}' for label, ee in verify_extremal(4, 3).ranking]
+        expected = [f'"{label}",{cli.format_float(ee)}' for label, ee in verify_extremal(4, 3).ranking]
         assert lines[1:] == expected
 
     @pytest.mark.parametrize(
@@ -578,6 +577,18 @@ class TestExitCodes:
         run(capsys, "gen", "cycle:2,3", "--out", str(path))
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_negative_smax_exits_2_in_every_format(self, capsys, tmp_path, monkeypatch, fmt):
+        path = tmp_path / "c23.txt"
+        run(capsys, "gen", "cycle:2,3", "--out", str(path))
+
+        def summarize(*args, **kwargs):
+            raise AssertionError("statistics computed for a rejected --smax")
+
+        monkeypatch.setattr(cli, "summarize", summarize)
+        code, out, err = run(capsys, "spectrum", str(path), "--smax", "-1", "--format", fmt)
+        assert (code, out, err) == (2, "", "error: s_max must be >= 1, got -1\n")
 
 
 def _dumps(value) -> str:

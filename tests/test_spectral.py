@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import random
 import time
@@ -32,8 +33,8 @@ from hypestra import (
     walk_count,
     walk_dominance,
 )
-from hypestra import spectral
-from hypestra.spectral import csv_text, format_float, spectrum_to_csv, summary_to_dict
+from hypestra import cli, spectral, write_file
+from hypestra.cli import csv_text, format_float
 
 from conftest import family_fixtures
 
@@ -284,7 +285,7 @@ class TestSpectrumStatistics:
         with pytest.raises(OverflowError, match=message):
             estrada_index(spectrum)
         with pytest.raises(OverflowError, match=message):
-            summary_to_dict(spectrum)
+            summarize(spectrum)
 
     def test_estrada_finite_sum_near_the_edge(self):
         spectrum = eigendecompose(np.diag([709.0, 709.0]))
@@ -512,8 +513,15 @@ class TestExports:
         assert format_float(1524.0000000000002) == "1524"
         assert format_float(0.5 + 1e-15) == "0.500000000000"
 
-    def test_csv_shape(self):
-        text = spectrum_to_csv(spectrum_of(cycle(2, 3)))
+    @staticmethod
+    def _spectrum_cli(capsys, tmp_path, h, fmt: str) -> str:
+        path = str(tmp_path / "h.txt")
+        write_file(h, path)
+        assert cli.main(["spectrum", path, "--format", fmt]) == 0
+        return capsys.readouterr().out
+
+    def test_csv_shape(self, capsys, tmp_path):
+        text = self._spectrum_cli(capsys, tmp_path, cycle(2, 3), "csv")
         lines = text.strip().split("\n")
         assert lines[0] == "eigenvalue"
         assert lines[1] == "3.23606797750"
@@ -530,8 +538,12 @@ class TestExports:
         csv.writer(buffer, lineterminator="\n").writerow([*cells[:3], cells[4]])
         assert csv_text("h", [[*cells[:3], cells[4]]]) == "h\n" + buffer.getvalue()
 
-    def test_summary_dict_keys(self):
-        payload = summary_to_dict(spectrum_of(cycle(2, 3)))
+    def test_summary_dict_keys(self, capsys, tmp_path):
+        payload = json.loads(self._spectrum_cli(capsys, tmp_path, cycle(2, 3), "json"))
+        assert list(payload) == [
+            "n", "lambda1", "estrada", "energy", "negative_count", "distinct_count",
+            "moments", "eigenvalues", "m",
+        ]
         assert payload["n"] == 4
         assert payload["negative_count"] == 2
         assert payload["moments"][2] == pytest.approx(16.0)

@@ -46,13 +46,7 @@ from hypestra import (
     verify_extremal,
     verify_ordering_lemmas,
 )
-from hypestra import hypercore, spectral, theorems
-from hypestra.theorems import (
-    bound_report_to_dict,
-    bound_reports_to_csv,
-    extremal_report_to_dict,
-    ordering_reports_to_csv,
-)
+from hypestra import cli, hypercore, spectral, theorems
 
 from conftest import family_fixtures
 
@@ -382,7 +376,7 @@ class TestCheckAllBounds:
     def test_deterministic(self):
         a = check_all_bounds(cycle(2, 3), 3)
         b = check_all_bounds(cycle(2, 3), 3)
-        assert [bound_report_to_dict(r) for r in a] == [bound_report_to_dict(r) for r in b]
+        assert [vars(r) for r in a] == [vars(r) for r in b]
 
 
 def _check_instances():
@@ -809,18 +803,41 @@ class TestExtremal:
         noisy = verify_extremal(6, 3).ranking
         assert [label for label, _ in noisy] == [label for label, _ in clean]
 
-    def test_scope_note_present(self):
+    def test_scope_note_present(self, capsys):
         report = verify_extremal(3, 3)
         assert "subset" in report.scope_note
-        payload = extremal_report_to_dict(report)
+        payload = json.loads(_cli(capsys, "verify", "extremal", "--nover", "3", "--format", "json"))
         assert payload["scope_note"] == report.scope_note
         assert payload["passed"] is True
 
 
+def _cli(capsys, *argv) -> str:
+    """Stdout of one passing ``hypestra`` call."""
+    assert cli.main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def _read_back(value):
+    """value as JSON stores it: every tuple becomes a list."""
+    if isinstance(value, (list, tuple)):
+        return [_read_back(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _read_back(v) for key, v in value.items()}
+    return value
+
+
 class TestSerialization:
-    def test_csv_columns(self):
+    """Reports as the command line writes them."""
+
+    @pytest.fixture
+    def c23(self, capsys, tmp_path):
+        path = str(tmp_path / "c23.txt")
+        _cli(capsys, "gen", "cycle:2,3", "--out", path)
+        return path
+
+    def test_csv_columns(self, capsys, c23):
         reports = check_all_bounds(cycle(2, 3), 3)
-        text = bound_reports_to_csv(reports)
+        text = _cli(capsys, "check", c23, "--k", "3", "--format", "csv")
         lines = text.strip().split("\n")
         assert lines[0] == "bound_id,n,m,k,t,lhs,rhs,slack,holds,equality"
         assert len(lines) == len(reports) + 1
@@ -829,16 +846,24 @@ class TestSerialization:
         assert first[1:5] == ["4", "2", "3", "2"]
         assert first[8] == "true"
 
-    def test_json_round_trip(self):
-        reports = check_all_bounds(cycle(2, 3), 3)
-        payload = json.dumps([bound_report_to_dict(r) for r in reports])
-        parsed = json.loads(payload)
+    def test_json_round_trip(self, capsys, c23):
+        parsed = json.loads(_cli(capsys, "check", c23, "--k", "3", "--format", "json"))
         assert parsed[0]["bound_id"] == "cor3.2-sum-largest"
         assert all(entry["holds"] for entry in parsed)
 
-    def test_ordering_csv(self):
-        reports = verify_ordering_lemmas(3, 8)
-        text = ordering_reports_to_csv(reports)
-        lines = text.strip().split("\n")
+    def test_json_payloads_are_the_report_fields(self, capsys, c23):
+        reports = check_all_bounds(cycle(2, 3), 3)
+        parsed = json.loads(_cli(capsys, "check", c23, "--k", "3", "--format", "json"))
+        assert parsed == [_read_back(vars(r)) for r in reports]
+        assert [list(entry) for entry in parsed] == [list(vars(r)) for r in reports]
+        report = verify_extremal(4, 3)
+        argv = ("verify", "extremal", "--nover", "4", "--k", "3", "--format", "json")
+        parsed = json.loads(_cli(capsys, *argv))
+        assert parsed == _read_back(vars(report))
+        assert list(parsed) == list(vars(report))
+
+    def test_ordering_csv(self, capsys):
+        argv = ("verify", "orderings", "--k", "3", "--budget", "8", "--format", "csv")
+        lines = _cli(capsys, *argv).strip().split("\n")
         assert lines[0] == "lemma_id,left,right,ee_left,ee_right,gap,strict_holds"
         assert all(line.endswith(",true") for line in lines[1:])

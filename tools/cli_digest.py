@@ -11,7 +11,7 @@ byte-identical over the corpus, so an output change shows up as a diff:
     PYTHONPATH=new/src python3 tools/cli_digest.py > new.txt
     diff old.txt new.txt
 
-The corpus (4,992 calls, about 4 s on one core):
+The corpus (4,998 calls, about 4 s on one core):
 
 - ``check`` in text, JSON and CSV, with ``--t 2|3`` and ``--k`` at the
   true k and k +- 1, ``check --variant theta-plus-one`` at the true k,
@@ -20,9 +20,9 @@ The corpus (4,992 calls, about 4 s on one core):
   on 3-uniform inputs at n = 24, 40 and 64 with m = 2n;
 - ``check`` on n = 100, k = 51 inputs whose errors compete for the one
   line on stderr;
-- ``check`` (also with ``--t 1``), ``spectrum`` (also with ``--smax -1``)
-  and ``complement`` on a small input, on a file that is not UTF-8 and
-  on a missing file;
+- ``check`` (also with ``--t 1``), ``spectrum`` (also with ``--smax -1``
+  in every format) and ``complement`` on a small input, on a file that
+  is not UTF-8 and on a missing file;
 - ``check`` and ``spectrum`` on JSON inputs whose n is 3.0, true, NaN or
   1e400, or whose vertex is 0.5, and ``verify bounds|orderings`` with
   ``--budget -1``;
@@ -141,6 +141,8 @@ def corpus(rng: random.Random) -> list[list[str]]:
         calls.append(["check", path, "--k", "3", "--t", "1"])
         calls.append(["check", path, "--k", "3"])
         calls.append(["spectrum", path, "--smax", "-1"])
+        for fmt in ("json", "csv"):
+            calls.append(["spectrum", path, "--smax", "-1", "--format", fmt])
         calls.append(["spectrum", path])
         calls.append(["complement", path, "--k", "3"])
     for path in non_integer_inputs():
