@@ -8,7 +8,7 @@ import numpy as np
 from hypestra import (
     Hypergraph,
     adjacency,
-    closed_walk_counts,
+    closed_walk_table,
     degrees,
     diameter,
     distinct_eigenvalues,
@@ -18,7 +18,6 @@ from hypestra import (
     spectrum_of,
     to_text,
     walk_count,
-    walk_dominance,
     unicyclic_cm,
 )
 
@@ -47,18 +46,23 @@ print("distinct eigenvalues:", [(round(v, 6), m) for v, m in distinct_eigenvalue
 # any magnitude: each step moves between two distinct vertices through
 # any edge containing both.
 print("\nwalks from 0 to 1 of length 1 (two shared edges):", walk_count(h, 0, 1, 1))
-print("closed walks at vertex 0, lengths 1..6:", closed_walk_counts(h, 0, 6))
-print("closed walks at vertex 2, lengths 1..6:", closed_walk_counts(h, 2, 6))
+# One exact power pass gives every vertex's closed walk counts: row u
+# of the table holds the counts at vertex u.
+walks = closed_walk_table(h, 6)
+print("closed walks at vertex 0, lengths 1..6:", walks[0])
+print("closed walks at vertex 2, lengths 1..6:", walks[2])
 
-# Closed-walk dominance compares those count vectors: a pendant vertex
-# is strictly dominated by the ring vertex it hangs from.
+# Comparing rows: a pendant vertex never has more closed walks than the
+# ring vertex it hangs from, and symmetric vertices have equal rows.
 # Ring vertices come first (0, 1), then the ring fillers (2, 3), then
 # each pendant edge's fresh vertices: here the pendant edge is {0, 4, 5}.
 grown = unicyclic_cm(3, [1, 0])
 pendant = 4
+grown_walks = closed_walk_table(grown, 10)
 print("\npendant-attached family:", to_text(grown).strip().replace("\n", " | "))
-print("dominance(pendant vs ring vertex):", walk_dominance(grown, pendant, 0, 10))
-print("dominance(symmetric filler pair):", walk_dominance(h, 2, 3, 10))
+print("closed walks at the pendant vertex:", grown_walks[pendant])
+print("closed walks at its ring vertex:   ", grown_walks[0])
+print("symmetric filler pair equal:", walks[2] == walks[3])
 
 # Degrees and distances round out the structural toolkit.
 print("\ndegrees:", degrees(grown).tolist())

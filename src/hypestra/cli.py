@@ -33,7 +33,7 @@ from .hypercore import (
     to_text,
     write_file,
 )
-from .spectral import estrada_index, spectra_of, spectrum_of, summarize
+from .spectral import _compare, estrada_index, spectra_of, spectrum_of, summarize
 
 _INPUT_ERRORS = (HypergraphError, fam.FamilyGrammarError, OverflowError, OSError)
 
@@ -171,11 +171,11 @@ def cmd_gen(args) -> int:
 def cmd_spectrum(args) -> int:
     h = read_file(args.input)
     if args.smax < 0:
-        raise HypergraphError(f"s_max must be >= 1, got {args.smax}")
+        raise HypergraphError(f"s_max must be >= 0, got {args.smax}")
     spectrum = spectrum_of(h)
     # solver-noise zeros are reported as exact zeros
-    tolerance = spectrum.zero_tolerance
-    eigenvalues = [0.0 if abs(v) <= tolerance else v for v in spectrum.eigenvalues.tolist()]
+    fro = spectrum.frobenius_norm
+    eigenvalues = [0.0 if _compare(v, 0.0, fro) == 0 else v for v in spectrum.eigenvalues.tolist()]
     if args.format == "csv":
         _emit(csv_text("eigenvalue", ([v] for v in eigenvalues)), args.out)
         return 0

@@ -28,28 +28,43 @@ _EXP_OVERFLOW = 709.0
 #: most matrices ``spectra_of`` builds and solves in one stack
 _STACK_LIMIT = 64
 
-#: walk_dominance outcomes
-STRICT = "strict"
-WEAK = "weak"
-EQUAL = "equal"
-INCOMPARABLE = "incomparable"
+#: relative error bound of every float decision, see ``_compare``
+_RTOL = 1e-9
+
+
+def _compare(a: float, b: float, scale: float = 0.0) -> int:
+    """-1, 0 or 1 as a is below, equal to or above b, where a and b count
+    as equal when they are at most _RTOL * max(1, |a|, |b|, scale) apart.
+
+    Every float verdict of the library is decided here: eigenvalue signs
+    and clusters, bound holds/equality, strict orderings and ranking ties.
+    """
+    d = a - b
+    if abs(d) <= _RTOL * max(1.0, abs(a), abs(b), scale):
+        return 0
+    return 1 if d > 0 else -1
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted descending, the matrix they came from, and the
-    classification tolerance.
+    """Eigenvalues sorted descending, the matrix they came from, and its
+    Frobenius norm.
 
     ``matrix`` is the read-only source matrix; when it is an integer
     matrix, spectral moments are its exact power traces.
-    ``zero_tolerance`` separates numerically-zero eigenvalues from signed
-    ones; it scales with the Frobenius norm of the source matrix.
     """
 
     eigenvalues: np.ndarray
     matrix: np.ndarray
-    zero_tolerance: float
     frobenius_norm: float
+
+    @property
+    def zero_tolerance(self) -> float:
+        """``_compare``'s bound for any two eigenvalues at scale
+        ``frobenius_norm``: no eigenvalue exceeds the norm in absolute
+        value, so eigenvalues this close are equal, and this close to 0
+        are zero."""
+        return _RTOL * max(1.0, self.frobenius_norm)
 
     @property
     def n(self) -> int:
@@ -162,7 +177,7 @@ def _solve(stack: np.ndarray) -> list[Spectrum]:
     b, n, _ = f.shape
     flat = f.reshape(b, n * n)
     fros = np.sqrt(flat[:, None, :] @ flat[:, :, None]).ravel().tolist()
-    return [Spectrum(v, a, 1e-9 * max(1.0, fro), fro) for v, a, fro in zip(values, stack, fros)]
+    return [Spectrum(v, a, fro) for v, a, fro in zip(values, stack, fros)]
 
 
 def eigendecompose(matrix) -> Spectrum:
@@ -204,7 +219,7 @@ def _moments(
     1..walk_max.  For an integer source matrix both come from one exact
     power pass; otherwise moments are sums of eigenvalue powers."""
     if walk_max < 0:
-        raise HypergraphError(f"s_max must be >= 1, got {walk_max}")
+        raise HypergraphError(f"s_max must be >= 0, got {walk_max}")
     if spectrum.matrix.dtype.kind != "i":
         if walk_max:
             raise ValueError("closed walk counts need an integer matrix")
@@ -246,31 +261,22 @@ def energy(spectrum: Spectrum) -> float:
 
 
 def negative_count(spectrum: Spectrum) -> int:
-    """Number of eigenvalues below -zero_tolerance."""
+    """Number of eigenvalues that ``_compare`` puts below zero."""
     return int(np.sum(spectrum.eigenvalues < -spectrum.zero_tolerance))
 
 
-def positive_count(spectrum: Spectrum) -> int:
-    """Number of eigenvalues above +zero_tolerance."""
-    return int(np.sum(spectrum.eigenvalues > spectrum.zero_tolerance))
-
-
 def distinct_eigenvalues(spectrum: Spectrum) -> list[tuple[float, int]]:
-    """Cluster the sorted eigenvalues with the zero-tolerance gap.
+    """Cluster the sorted eigenvalues, splitting where two neighbours are
+    unequal under ``_compare``.
 
     Returns (value, multiplicity) pairs, descending, where each value is
     the mean of its cluster; multiplicities sum to n.
     """
-    out: list[tuple[float, int]] = []
     values = spectrum.eigenvalues
-    i = 0
-    while i < len(values):
-        j = i + 1
-        while j < len(values) and values[j - 1] - values[j] <= spectrum.zero_tolerance:
-            j += 1
-        out.append((float(np.mean(values[i:j])), j - i))
-        i = j
-    return out
+    if not len(values):
+        return []
+    cuts = np.flatnonzero(values[:-1] - values[1:] > spectrum.zero_tolerance) + 1
+    return [(float(np.mean(c)), len(c)) for c in np.split(values, cuts)]
 
 
 def summarize(spectrum: Spectrum, max_moment: int = 8, walk_max: int = 0) -> SpectralSummary:
@@ -348,30 +354,3 @@ def closed_walk_table(h: Hypergraph, s_max: int) -> list[list[int]]:
     if s_max < 1:
         raise ValueError(f"s_max must be >= 1, got {s_max}")
     return _by_vertex(_walk_diagonals(adjacency(h), s_max))
-
-
-def closed_walk_counts(h: Hypergraph, u: int, s_max: int) -> list[int]:
-    """Closed walk counts at u for every length 1..s_max (exact)."""
-    return closed_walk_table(h, s_max)[u]
-
-
-def walk_dominance(h: Hypergraph, u: int, v: int, s_max: int) -> str:
-    """Compare closed walk counts at u against those at v for lengths <= s_max.
-
-    Returns ``"equal"`` when the counts agree at every length,
-    ``"strict"`` when u's counts never exceed v's and fall short at least
-    once, ``"incomparable"`` when each side exceeds the other somewhere,
-    and ``"weak"`` when the counts only dominate in the reverse direction
-    (v's never exceed u's).  A finite certificate: ``strict`` at one
-    s_max cannot be revoked by larger s_max, while ``equal`` may refine.
-    """
-    table = closed_walk_table(h, s_max)
-    u_below = any(a < b for a, b in zip(table[u], table[v]))
-    u_above = any(a > b for a, b in zip(table[u], table[v]))
-    if u_below and u_above:
-        return INCOMPARABLE
-    if u_below:
-        return STRICT
-    if u_above:
-        return WEAK
-    return EQUAL

@@ -31,6 +31,7 @@ from .hypercore import (
 )
 from .spectral import (
     Spectrum,
+    _compare,
     _solve,
     adjacency,
     as_symmetric,
@@ -64,9 +65,10 @@ class BoundReport:
 
     ``slack`` is signed so that nonnegative means the bound holds with
     room: rhs - lhs for upper bounds (lhs <= rhs), lhs - rhs for lower
-    bounds.  ``holds``/``equality`` use tolerance 1e-9 relative to the
-    larger side.  ``inputs`` records n, m, k, t where applicable and
-    ``extra`` carries per-bound metadata (variants, tau forms, notes).
+    bounds.  ``holds``/``equality`` mean ``spectral._compare`` of the two
+    sides finds the slack nonnegative/zero, within its relative bound.
+    ``inputs`` records n, m, k, t where applicable and ``extra`` carries
+    per-bound metadata (variants, tau forms, notes).
     """
 
     bound_id: str
@@ -79,10 +81,6 @@ class BoundReport:
     extra: dict = field(default_factory=dict)
 
 
-def _tolerance(lhs: float, rhs: float) -> float:
-    return 1e-9 * max(1.0, abs(lhs), abs(rhs))
-
-
 def _report(
     bound_id: str,
     lhs: float,
@@ -92,19 +90,18 @@ def _report(
     extra: dict | None = None,
 ) -> BoundReport:
     if claim == "le":
-        slack = rhs - lhs
+        slack, sign = rhs - lhs, _compare(rhs, lhs)
     elif claim == "ge":
-        slack = lhs - rhs
+        slack, sign = lhs - rhs, _compare(lhs, rhs)
     else:
         raise ValueError(f"claim must be 'le' or 'ge', got {claim!r}")
-    tol = _tolerance(lhs, rhs)
     return BoundReport(
         bound_id=bound_id,
         lhs=float(lhs),
         rhs=float(rhs),
         slack=float(slack),
-        holds=bool(slack >= -tol),
-        equality=bool(abs(slack) <= tol),
+        holds=sign >= 0,
+        equality=sign == 0,
         inputs=inputs,
         extra={"claim": claim, **(extra or {})},
     )
@@ -137,7 +134,7 @@ def _sum_largest(bound_id, spectrum, t, variant, rhs_of, inputs, extra) -> Bound
         AS_WRITTEN: rhs_of(theta, top / (2 * theta + 1)),
         THETA_PLUS_ONE: rhs_of(theta, top / (2 * (theta + 1))),
     }
-    tighter = rhs_by_variant[THETA_PLUS_ONE] < rhs_by_variant[AS_WRITTEN]
+    tighter = _compare(rhs_by_variant[AS_WRITTEN], rhs_by_variant[THETA_PLUS_ONE]) > 0
     extra = {
         "variant": variant,
         "theta": theta,
@@ -424,13 +421,13 @@ def classify_two_eigenvalue(
             "the equivalence assumes a connected hypergraph"
         )
     beta = flat_beta
-    tol = spectrum.zero_tolerance
+    fro = spectrum.frobenius_norm
     (v1, m1), (v2, m2) = clusters
     if not (
         m1 == 1
         and m2 == n - 1
-        and abs(v1 - beta * (n - 1)) <= tol
-        and abs(v2 + beta) <= tol
+        and _compare(v1, beta * (n - 1), fro) == 0
+        and _compare(v2, -beta, fro) == 0
     ):
         raise CharacterizationMismatchError(
             f"eigenvalues {clusters} do not match beta={beta} expectations"
@@ -519,6 +516,9 @@ def check_all_bounds(
 
 @dataclass(frozen=True)
 class OrderingInstance:
+    """One ordering ee_left < ee_right; ``strict_holds`` when ``spectral._compare``
+    puts ee_right above ee_left, beyond its relative bound."""
+
     left: str
     right: str
     ee_left: float
@@ -675,7 +675,7 @@ def verify_ordering_lemmas(k: int, size_budget: int) -> list[OrderingReport]:
         instances = []
         for left, hl, right, hr in sides:
             el, er = ee[hl], ee[hr]
-            instances.append(OrderingInstance(left, right, el, er, bool(el < er)))
+            instances.append(OrderingInstance(left, right, el, er, _compare(er, el) > 0))
         reports.append(OrderingReport(lemma_id, tuple(instances)))
     return reports
 
@@ -743,12 +743,12 @@ def verify_extremal(n_over: int, k: int) -> ExtremalReport:
         ((entry.label, estrada_index(spectrum)) for entry, spectrum in zip(catalog, spectra)),
         key=lambda item: -item[1],
     )
-    # ties within tolerance (isomorphic entries differ in the last bits)
-    # share their group's leading value and rank by label, so neither the
-    # order nor the reported values depend on solver noise
+    # values equal under _compare (isomorphic entries differ in the last
+    # bits) share their group's leading value and rank by label, so neither
+    # the order nor the reported values depend on solver noise
     groups: list[list[tuple[str, float]]] = []
     for label, ee in by_value:
-        if groups and groups[-1][0][1] - ee <= 1e-9 * max(1.0, abs(ee)):
+        if groups and _compare(groups[-1][0][1], ee) == 0:
             groups[-1].append((label, groups[-1][0][1]))
         else:
             groups.append([(label, ee)])

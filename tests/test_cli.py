@@ -12,7 +12,7 @@ from hypestra import (
     Hypergraph,
     build_family,
     cli,
-    closed_walk_counts,
+    closed_walk_table,
     estrada_index,
     from_text,
     spectrum_of,
@@ -125,7 +125,7 @@ class TestSpectrum:
                 assert code == 0, name
                 payload = json.loads(out)
                 assert list(payload)[-2:] == ["m", "closed_walks"], name
-                expected = {str(u): closed_walk_counts(h, u, smax) for u in range(h.n)}
+                expected = {str(u): row for u, row in enumerate(closed_walk_table(h, smax))}
                 assert payload["closed_walks"] == expected, (name, smax)
                 assert len(payload["moments"]) == 9, name
 
@@ -569,7 +569,7 @@ class TestExitCodes:
         "argv,message",
         [
             (("check", "--k", "3", "--t", "1"), "need 2 <= t <= n, got t=1, n=4"),
-            (("spectrum", "--smax", "-1"), "s_max must be >= 1, got -1"),
+            (("spectrum", "--smax", "-1"), "s_max must be >= 0, got -1"),
         ],
     )
     def test_parameter_errors_exit_2(self, capsys, tmp_path, argv, message):
@@ -588,7 +588,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "summarize", summarize)
         code, out, err = run(capsys, "spectrum", str(path), "--smax", "-1", "--format", fmt)
-        assert (code, out, err) == (2, "", "error: s_max must be >= 1, got -1\n")
+        assert (code, out, err) == (2, "", "error: s_max must be >= 0, got -1\n")
 
 
 def _dumps(value) -> str:

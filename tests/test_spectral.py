@@ -4,6 +4,7 @@ import json
 import math
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hypestra import (
     Hypergraph,
     add_edge,
     adjacency,
-    closed_walk_counts,
     closed_walk_table,
     complete_uniform,
     cycle,
@@ -22,7 +22,6 @@ from hypestra import (
     energy,
     estrada_index,
     negative_count,
-    positive_count,
     random_uniform,
     spectral_moment,
     spectra_of,
@@ -31,7 +30,6 @@ from hypestra import (
     trace_power,
     unicyclic_cm,
     walk_count,
-    walk_dominance,
 )
 from hypestra import cli, spectral, write_file
 from hypestra.cli import csv_text, format_float
@@ -302,14 +300,19 @@ class TestSpectrumStatistics:
         # the exact zero eigenvalue classifies as zero, not negative
         spectrum = spectrum_of(cycle(2, 3))
         assert negative_count(spectrum) == 2
-        assert positive_count(spectrum) == 1
+        signs = [spectral._compare(v, 0.0, spectrum.frobenius_norm) for v in spectrum.eigenvalues]
+        assert signs == [1, 0, -1, -1]
 
     def test_sign_counts_partition(self, fixtures):
+        # the vectorised count and the zero tolerance agree with _compare
+        # on every eigenvalue
         for name, h, _ in fixtures:
             spectrum = spectrum_of(h)
-            zeros = h.n - negative_count(spectrum) - positive_count(spectrum)
-            assert zeros >= 0, name
-            assert sum(1 for v in spectrum.eigenvalues if abs(v) <= spectrum.zero_tolerance) == zeros
+            values = spectrum.eigenvalues.tolist()
+            signs = [spectral._compare(v, 0.0, spectrum.frobenius_norm) for v in values]
+            assert signs.count(-1) == negative_count(spectrum), name
+            zeros = sum(1 for v in values if abs(v) <= spectrum.zero_tolerance)
+            assert signs.count(0) == zeros, name
 
     def test_distinct_eigenvalues(self):
         assert distinct_eigenvalues(spectrum_of(edgeless(6))) == [(0.0, 6)]
@@ -325,6 +328,26 @@ class TestSpectrumStatistics:
         for name, h, _ in fixtures:
             clusters = distinct_eigenvalues(spectrum_of(h))
             assert sum(mult for _, mult in clusters) == h.n, name
+
+    def test_clusters_split_where_compare_says_unequal(self, fixtures):
+        # reference: walk the sorted eigenvalues and start a new cluster
+        # wherever _compare finds two neighbours unequal
+        def by_loop(spectrum):
+            out = []
+            for v in spectrum.eigenvalues.tolist():
+                if out and spectral._compare(out[-1][-1], v, spectrum.frobenius_norm) == 0:
+                    out[-1].append(v)
+                else:
+                    out.append([v])
+            return [(float(np.mean(c)), len(c)) for c in out]
+
+        spectra = [spectrum_of(h) for _, h, _ in fixtures]
+        # gaps of 0.9 and 1.1 bounds (t, at norm sqrt(48)) near 4 and near 0
+        t = spectral._RTOL * math.sqrt(48)
+        diag = eigendecompose(np.diag([4.0, 4.0 - 0.9 * t, 4.0 - 2 * t, 0.0, -1.1 * t, -2 * t]))
+        assert [m for _, m in distinct_eigenvalues(diag)] == [2, 1, 1, 2]
+        for spectrum in [*spectra, diag]:
+            assert distinct_eigenvalues(spectrum) == by_loop(spectrum)
 
     def test_perron_frobenius_on_connected(self, fixtures):
         for name, h, _ in fixtures:
@@ -374,7 +397,7 @@ class TestWalks:
 
     def test_closed_walk_counts_match_powers(self):
         h = unicyclic_cm(3, [1, 0])
-        counts = closed_walk_counts(h, 0, 6)
+        counts = closed_walk_table(h, 6)[0]
         assert counts == [walk_count(h, 0, 0, s) for s in range(1, 7)]
 
     def test_counts_are_exact_big_integers(self):
@@ -453,38 +476,57 @@ class TestWalks:
 
 
 class TestWalkDominance:
-    def test_same_vertex_equal(self):
-        h = cycle(2, 3)
-        assert walk_dominance(h, 1, 1, 6) == "equal"
-
     def test_symmetric_vertices_equal(self):
-        assert walk_dominance(cycle(2, 3), 2, 3, 8) == "equal"
+        table = closed_walk_table(cycle(2, 3), 8)
+        assert table[2] == table[3]
 
     def test_pendant_below_its_ring_vertex(self):
         h = unicyclic_cm(3, [1, 0])
         pendant_vertex = 4  # on the pendant edge (0, 4, 5) at ring vertex 0
-        assert walk_dominance(h, pendant_vertex, 0, 8) == "strict"
-        assert walk_dominance(h, 0, pendant_vertex, 8) == "weak"
+        table = closed_walk_table(h, 8)
+        pendant, ring = table[pendant_vertex], table[0]
+        assert all(a <= b for a, b in zip(pendant, ring))
+        assert pendant != ring
 
-    def test_classification_matches_definition(self):
-        rng = random.Random(5)
-        for _ in range(25):
-            n = rng.randint(3, 7)
-            m = rng.randint(1, 6)
-            k = rng.randint(2, 3)
-            h = random_uniform(n, k, min(m, math.comb(n, k)), rng)
-            for _ in range(4):
-                u, v = rng.randrange(n), rng.randrange(n)
-                left = [dfs_walk_count(h, u, u, s) for s in range(1, 5)]
-                right = [dfs_walk_count(h, v, v, s) for s in range(1, 5)]
-                below = any(a < b for a, b in zip(left, right))
-                above = any(a > b for a, b in zip(left, right))
-                expected = (
-                    "incomparable"
-                    if below and above
-                    else "strict" if below else "weak" if above else "equal"
-                )
-                assert walk_dominance(h, u, v, 4) == expected
+
+_PAST = math.nextafter(spectral._RTOL, 1)
+
+
+class TestCompare:
+    """Every float verdict is _compare's: a and b are equal when at most
+    _RTOL * max(1, |a|, |b|, scale) apart."""
+
+    @pytest.mark.parametrize(
+        "a,b,scale,expected",
+        [
+            (spectral._RTOL, 0.0, 0.0, 0),
+            (0.0, spectral._RTOL, 0.0, 0),
+            (-spectral._RTOL, 0.0, 0.0, 0),
+            (_PAST, 0.0, 0.0, 1),
+            (0.0, _PAST, 0.0, -1),
+            (-_PAST, 0.0, 0.0, -1),
+            (0.0, -_PAST, 0.0, 1),
+            # the bound is relative to the larger side
+            (1e6, 1e6 + 1e-4, 0.0, 0),
+            (1e6, 1e6 + 1e-2, 0.0, -1),
+            # a larger scale widens the bound, a smaller one never narrows it
+            (_PAST, 0.0, 4.0, 0),
+            (4 * spectral._RTOL, 0.0, 4.0, 0),
+            (4 * _PAST, 0.0, 4.0, 1),
+            (spectral._RTOL, 0.0, 0.5, 0),
+            (_PAST, 0.0, 0.5, 1),
+        ],
+    )
+    def test_bound(self, a, b, scale, expected):
+        assert spectral._compare(a, b, scale) == expected
+
+    def test_one_tolerance_literal(self):
+        # every tolerance comes from _RTOL; a second literal would be a
+        # second rule
+        src = Path(spectral.__file__).parent
+        counts = {p.name: p.read_text(encoding="utf-8").count("1e-9") for p in src.glob("*.py")}
+        assert {name: c for name, c in counts.items() if c} == {"spectral.py": 1}
+        assert "\n_RTOL = 1e-9\n" in (src / "spectral.py").read_text(encoding="utf-8")
 
 
 class TestMonotonicity:

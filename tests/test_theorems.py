@@ -378,6 +378,20 @@ class TestCheckAllBounds:
         b = check_all_bounds(cycle(2, 3), 3)
         assert [vars(r) for r in a] == [vars(r) for r in b]
 
+    @pytest.mark.parametrize("claim", ["le", "ge"])
+    def test_slack_at_the_bound_is_equality(self, claim):
+        # |slack| equal to _compare's bound is equality, on either side;
+        # one step past it below zero fails
+        rtol = spectral._RTOL
+        for lhs, rhs in ((0.0, rtol), (rtol, 0.0)):
+            report = theorems._report("x", lhs, rhs, claim, {})
+            assert abs(report.slack) == rtol
+            assert (report.holds, report.equality) == (True, True), (lhs, rhs)
+        past = math.nextafter(rtol, 1)
+        lhs, rhs = (past, 0.0) if claim == "le" else (0.0, past)
+        report = theorems._report("x", lhs, rhs, claim, {})
+        assert (report.holds, report.equality) == (False, False)
+
 
 def _check_instances():
     """Every conftest fixture, then 200 seeded random instances with
