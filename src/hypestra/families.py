@@ -19,6 +19,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .hypercore import (
+    DuplicateEdgeError,
     Hypergraph,
     HypergraphError,
     degrees,
@@ -35,7 +36,7 @@ def complete_uniform(n: int, k: int) -> Hypergraph:
     """All k-subsets of n vertices."""
     if not 2 <= k <= n:
         raise HypergraphError(f"complete family needs 2 <= k <= n, got k={k}, n={n}")
-    return Hypergraph(n, combinations(range(n), k))
+    return Hypergraph._trusted(n, tuple(combinations(range(n), k)))
 
 
 def edgeless(n: int) -> Hypergraph:
@@ -48,15 +49,16 @@ def _ring(m: int, k: int, counts: tuple[int, ...] = ()) -> Hypergraph:
     out as the module docstring states."""
     if m < 2 or k < 2:
         raise HypergraphError(f"ring needs m >= 2 and k >= 2, got m={m}, k={k}")
-    edges = [
-        [i, (i + 1) % m, *range(m + i * (k - 2), m + (i + 1) * (k - 2))] for i in range(m)
-    ]
+    if m == k == 2:
+        raise DuplicateEdgeError("duplicate edge (0, 1)")
     n = m * (k - 1)
+    edges = [(i, i + 1, *range(m + i * (k - 2), m + (i + 1) * (k - 2))) for i in range(m - 1)]
+    edges.append((0, m - 1, *range(n - (k - 2), n)))  # the wrap-around ring edge, sorted
     for v, count in enumerate(counts):
         for _ in range(count):
-            edges.append([v, *range(n, n + k - 1)])
+            edges.append((v, *range(n, n + k - 1)))
             n += k - 1
-    return Hypergraph(n, edges)
+    return Hypergraph._trusted(n, tuple(sorted(edges)))
 
 
 def cycle(m: int, k: int) -> Hypergraph:

@@ -66,6 +66,10 @@ class Hypergraph:
     edges : iterable of iterables of int
         Edge list; each edge must have >= 2 distinct vertices below ``n``
         and no two edges may be equal as sets.
+
+    This constructor validates all outside input.  Builders and edits whose
+    edges are canonical by construction call :meth:`_trusted`, which needs a
+    sorted tuple of distinct, strictly increasing, in-range edges of size >= 2.
     """
 
     __slots__ = ("n", "edges")
@@ -84,6 +88,14 @@ class Hypergraph:
             seen.add(e)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
+
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[Edge, ...]) -> Hypergraph:
+        """Store ``edges``, canonical as the class docstring states, unchecked."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "n", n)
+        object.__setattr__(h, "edges", edges)
+        return h
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
@@ -153,8 +165,8 @@ def complement_uniform(h: Hypergraph, k: int) -> Hypergraph:
     if not is_k_uniform(h, k):
         raise HypergraphError(f"hypergraph is not {k}-uniform")
     present = set(h.edges)
-    absent = [c for c in combinations(range(h.n), k) if c not in present]
-    return Hypergraph(h.n, absent)
+    absent = tuple(c for c in combinations(range(h.n), k) if c not in present)
+    return Hypergraph._trusted(h.n, absent)
 
 
 def shrink(h: Hypergraph, v: int, edge_index: int) -> Hypergraph:
@@ -173,7 +185,7 @@ def shrink(h: Hypergraph, v: int, edge_index: int) -> Hypergraph:
         raise DuplicateEdgeError(f"shrinking {e} at {v} duplicates edge {shrunk}")
     new_edges = list(h.edges)
     new_edges[edge_index] = shrunk
-    return Hypergraph(h.n, new_edges)
+    return Hypergraph._trusted(h.n, tuple(sorted(new_edges)))
 
 
 def extend_edge(h: Hypergraph, edge_index: int, v: int) -> Hypergraph:
@@ -188,7 +200,7 @@ def extend_edge(h: Hypergraph, edge_index: int, v: int) -> Hypergraph:
         raise DuplicateEdgeError(f"extending {e} by {v} duplicates edge {extended}")
     new_edges = list(h.edges)
     new_edges[edge_index] = extended
-    return Hypergraph(h.n, new_edges)
+    return Hypergraph._trusted(h.n, tuple(sorted(new_edges)))
 
 
 def add_edge(h: Hypergraph, e: Iterable[int]) -> Hypergraph:
@@ -196,7 +208,7 @@ def add_edge(h: Hypergraph, e: Iterable[int]) -> Hypergraph:
     edge = _canonical_edge(h.n, e)
     if edge in h.edges:
         raise DuplicateEdgeError(f"duplicate edge {edge}")
-    return Hypergraph(h.n, h.edges + (edge,))
+    return Hypergraph._trusted(h.n, tuple(sorted(h.edges + (edge,))))
 
 
 def edge_swap(
@@ -268,9 +280,9 @@ def _neighbor_sets(h: Hypergraph) -> list[set[int]]:
 def distance_matrix(h: Hypergraph) -> np.ndarray:
     """All-pairs shortest walk lengths; unreachable pairs are -1."""
     nbrs = _neighbor_sets(h)
-    dist = np.full((h.n, h.n), -1, dtype=np.int64)
-    for src in range(h.n):
-        dist[src, src] = 0
+    dist = [[-1] * h.n for _ in range(h.n)]
+    for src, row in enumerate(dist):
+        row[src] = 0
         frontier = [src]
         d = 0
         while frontier:
@@ -278,11 +290,11 @@ def distance_matrix(h: Hypergraph) -> np.ndarray:
             nxt = []
             for x in frontier:
                 for y in nbrs[x]:
-                    if dist[src, y] < 0:
-                        dist[src, y] = d
+                    if row[y] < 0:
+                        row[y] = d
                         nxt.append(y)
             frontier = nxt
-    return dist
+    return np.array(dist, dtype=np.int64).reshape(h.n, h.n)
 
 
 def is_connected(h: Hypergraph) -> bool:
@@ -297,7 +309,7 @@ def diameter(h: Hypergraph) -> int:
     dist = distance_matrix(h)
     if np.any(dist < 0):
         raise DisconnectedError("diameter is undefined for a disconnected hypergraph")
-    return int(dist.max())
+    return int(dist.max(initial=0))
 
 
 # --- file formats ----------------------------------------------------------

@@ -209,3 +209,11 @@ def catalog_shape(label: str) -> Hypergraph:
         hub = first_pendant[i][1]
         edges.append([hub] + fresh(k - 1))
     return Hypergraph(made, edges)
+
+
+def assert_canonical(h: Hypergraph) -> None:
+    """h has sorted, strictly increasing edges and equals the hypergraph
+    the validating constructor builds from its edges scrambled."""
+    assert list(h.edges) == sorted(h.edges)
+    assert all(a < b for e in h.edges for a, b in zip(e, e[1:]))
+    assert h == Hypergraph(h.n, [list(e) for e in reversed(h.edges)])

@@ -11,6 +11,7 @@ from hypestra import (
     HypergraphError,
     bibd_validate,
     build_family,
+    complement_uniform,
     complete_uniform,
     compositions,
     cycle,
@@ -30,7 +31,7 @@ from hypestra import (
     uniformity,
     x_n,
 )
-from oracles import catalog_shape
+from oracles import assert_canonical, catalog_shape
 
 
 def _ee(h):
@@ -69,7 +70,7 @@ class TestCycle:
         assert degrees(h).tolist() == [2, 2, 2, 1, 1, 1]
 
     def test_two_ring_of_pairs_rejected(self):
-        with pytest.raises(DuplicateEdgeError):
+        with pytest.raises(DuplicateEdgeError, match=r"^duplicate edge \(0, 1\)$"):
             cycle(2, 2)
 
     def test_graph_cycle(self):
@@ -261,6 +262,39 @@ class TestCatalog:
         assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
         assert list(compositions(0, 3)) == [(0, 0, 0)]
         assert len(list(compositions(4, 2))) == 5
+
+
+class TestTrustedBuilders:
+    def test_rings_equal_validated_construction(self):
+        for k in range(2, 6):
+            for m in range(2, 8):
+                if m == k == 2:
+                    continue
+                assert_canonical(cycle(m, k))
+                for total in range(3):
+                    for pendants in compositions(total, m):
+                        assert_canonical(unicyclic_cm(k, list(pendants)))
+
+    def test_catalog_equals_validated_construction(self):
+        for k, n_overs in ((3, (3, 4, 5, 6)), (4, (3, 4))):
+            for n_over in n_overs:
+                for entry in unicyclic_catalog(n_over, k):
+                    assert_canonical(entry.hypergraph)
+
+    def test_complete_equals_validated_construction(self):
+        for n in range(2, 10):
+            for k in range(2, n + 1):
+                assert_canonical(complete_uniform(n, k))
+
+    def test_complement_equals_validated_construction(self):
+        rng = random.Random(14)
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            k = rng.randint(2, min(4, n))
+            h = random_uniform(n, k, rng.randint(0, math.comb(n, k)), rng)
+            comp = complement_uniform(h, k)
+            assert_canonical(comp)
+            assert complement_uniform(comp, k) == h
 
 
 class TestRandomUniform:

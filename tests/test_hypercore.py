@@ -1,4 +1,6 @@
 import math
+import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypestra import (
     ParseError,
     VACUOUS,
     add_edge,
+    adjacency,
     coalesce,
     complement_uniform,
     complete_uniform,
@@ -33,6 +36,7 @@ from hypestra import (
     unicyclic_cm,
     uniformity,
 )
+from oracles import assert_canonical
 
 
 class TestConstruction:
@@ -253,6 +257,35 @@ class TestDistances:
             if h.m:
                 assert is_connected(h), name
 
+    def test_empty_and_single_vertex(self):
+        for n in (0, 1):
+            h = Hypergraph(n, [])
+            assert is_connected(h)
+            assert diameter(h) == 0
+
+    @staticmethod
+    def _floyd_warshall(h):
+        far = h.n  # longer than any shortest walk
+        d = np.where(adjacency(h) > 0, 1, far).astype(np.int64)
+        np.fill_diagonal(d, 0)
+        for w in range(h.n):
+            d = np.minimum(d, d[:, [w]] + d[[w], :])
+        return np.where(d >= far, -1, d)
+
+    def test_distance_matrix_matches_floyd_warshall(self, fixtures):
+        rng = random.Random(14)
+        cases = [h for _, h, _ in fixtures]
+        cases += [Hypergraph(0, []), Hypergraph(1, [])]
+        for _ in range(60):
+            n = rng.randint(2, 10)
+            pool = [c for size in (2, 3) for c in combinations(range(n), size)]
+            cases.append(Hypergraph(n, rng.sample(pool, rng.randint(0, n // 2))))
+        assert any((distance_matrix(h) < 0).any() for h in cases)
+        for h in cases:
+            d = distance_matrix(h)
+            assert d.shape == (h.n, h.n) and d.dtype == np.int64, h
+            assert np.array_equal(d, self._floyd_warshall(h)), h
+
 
 class TestAddEdge:
     def test_add_to_edgeless(self):
@@ -262,6 +295,40 @@ class TestAddEdge:
         h = complete_uniform(4, 3)
         with pytest.raises(DuplicateEdgeError):
             add_edge(h, (0, 1, 2))
+
+
+class TestTrustedEdits:
+    def test_edits_equal_validated_construction(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        @st.composite
+        def scrambled(draw):
+            n = draw(st.integers(2, 9))
+            k = draw(st.integers(2, min(4, n)))
+            edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=k, unique=True)
+            return n, k, draw(st.lists(edge, max_size=10, unique_by=frozenset))
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None)
+        @hypothesis.given(scrambled())
+        def check(drawn):
+            n, k, edges = drawn
+            h = Hypergraph(n, edges)
+            results = [
+                add_edge(h, c[::-1])
+                for size in range(2, k + 1)
+                for c in combinations(range(n), size)
+                if c not in h.edges
+            ]
+            for i, e in enumerate(h.edges):
+                for v in range(n):
+                    changed = tuple(sorted(set(e) ^ {v}))
+                    if len(changed) >= 2 and changed not in h.edges:
+                        results.append(shrink(h, v, i) if v in e else extend_edge(h, i, v))
+            for r in results:
+                assert_canonical(r)
+
+        check()
 
 
 class TestSerialization:

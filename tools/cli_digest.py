@@ -11,13 +11,14 @@ byte-identical over the corpus, so an output change shows up as a diff:
     PYTHONPATH=new/src python3 tools/cli_digest.py > new.txt
     diff old.txt new.txt
 
-The corpus (4,998 calls, about 4 s on one core):
+The corpus (5,006 calls, about 4 s on one core):
 
 - ``check`` in text, JSON and CSV, with ``--t 2|3`` and ``--k`` at the
   true k and k +- 1, ``check --variant theta-plus-one`` at the true k,
   and ``spectrum --smax 8`` in every format, on 200 seeded random inputs
   (k in {2, 3, 4}, n <= 12, edgeless and complete ones among them) and
-  on 3-uniform inputs at n = 24, 40 and 64 with m = 2n;
+  on 3-uniform inputs at n = 24, 40 and 64 with m = 2n, and
+  ``complement --k 3`` of those three (up to 41,536 edges);
 - ``check`` on n = 100, k = 51 inputs whose errors compete for the one
   line on stderr;
 - ``check`` (also with ``--t 1``), ``spectrum`` (also with ``--smax -1``
@@ -28,7 +29,8 @@ The corpus (4,998 calls, about 4 s on one core):
   ``--budget -1``;
 - ``verify orderings|extremal|bounds`` and ``enumerate`` on the acceptance
   grid, and ``verify bounds --variant theta-plus-one``, in every format;
-- ``gen`` for every family head, plus malformed labels.
+- ``gen`` for every family head, for rings with a wrap-around edge and
+  for the combinations builders at larger sizes, plus malformed labels.
 
 Inputs are written with the standard library alone, into a temporary
 directory that is the working directory during the calls, so argv and
@@ -134,6 +136,8 @@ def corpus(rng: random.Random) -> list[list[str]]:
             variant = ["--variant", THETA_PLUS_ONE, "--format", fmt]
             calls.append(["check", path, "--k", str(k), *variant])
             calls.append(["spectrum", path, "--smax", "8", "--format", fmt])
+    for n in (24, 40, 64):
+        calls.append(["complement", f"scale-{n}.txt", "--k", "3"])
     for path in precedence_inputs(rng):
         calls.append(["check", path, "--k", "51", "--format", "json"])
         calls.append(["check", path, "--k", "51", "--t", "150"])
@@ -168,6 +172,7 @@ def corpus(rng: random.Random) -> list[list[str]]:
     labels = [
         "complete:6,3", "edgeless:5", "cycle:3,3", "xn:8,3", "star:3,4", "p3:4",
         "gss:3", "fano", "cm:3:2,1,0", "cm:4:1,0",
+        "cycle:5,4", "cm:4:0,2,1", "xn:12,4", "gss:5", "complete:9,4",
         # malformed or rejected labels
         "cycle:2,2", "complete:4,x", "fano:x", "cm:3", "cm:x:1,2", "cm:3:1",
         "cmx:3:2:0,0,1", "nope:1", "star:3", "",
