@@ -78,6 +78,9 @@ class Hypergraph:
     edges: tuple[Edge, ...]
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise HypergraphError(f"vertex count must be an integer, got {n!r}")
+        n = int(n)
         if n < 0:
             raise HypergraphError(f"vertex count must be >= 0, got {n}")
         canon = [_canonical_edge(n, e) for e in edges]
@@ -149,11 +152,6 @@ def degrees(h: Hypergraph) -> np.ndarray:
     return d
 
 
-def is_regular(h: Hypergraph, r: int) -> bool:
-    """True if every vertex has degree exactly r."""
-    return bool(np.all(degrees(h) == r))
-
-
 def complement_uniform(h: Hypergraph, k: int) -> Hypergraph:
     """k-uniform complement: all k-subsets of the vertex set absent from h.
 
@@ -169,13 +167,19 @@ def complement_uniform(h: Hypergraph, k: int) -> Hypergraph:
     return Hypergraph._trusted(h.n, absent)
 
 
+def _edge_at(h: Hypergraph, edge_index: int) -> Edge:
+    if not 0 <= edge_index < h.m:
+        raise HypergraphError(f"edge index {edge_index} outside 0..{h.m - 1}")
+    return h.edges[edge_index]
+
+
 def shrink(h: Hypergraph, v: int, edge_index: int) -> Hypergraph:
     """Remove vertex v from edge ``edge_index``, leaving all other edges alone.
 
     The shrunk edge must keep size >= 2 and must not collide with an
     existing edge.  The result may be non-uniform.
     """
-    e = h.edges[edge_index]
+    e = _edge_at(h, edge_index)
     if v not in e:
         raise HypergraphError(f"vertex {v} is not in edge {e}")
     if len(e) <= 2:
@@ -190,7 +194,7 @@ def shrink(h: Hypergraph, v: int, edge_index: int) -> Hypergraph:
 
 def extend_edge(h: Hypergraph, edge_index: int, v: int) -> Hypergraph:
     """Add vertex v to edge ``edge_index`` (the inverse of :func:`shrink`)."""
-    e = h.edges[edge_index]
+    e = _edge_at(h, edge_index)
     if not 0 <= v < h.n:
         raise HypergraphError(f"vertex {v} outside 0..{h.n - 1}")
     if v in e:
@@ -209,62 +213,6 @@ def add_edge(h: Hypergraph, e: Iterable[int]) -> Hypergraph:
     if edge in h.edges:
         raise DuplicateEdgeError(f"duplicate edge {edge}")
     return Hypergraph._trusted(h.n, tuple(sorted(h.edges + (edge,))))
-
-
-def edge_swap(
-    h: Hypergraph,
-    stems: Iterable[Iterable[int]],
-    from_v: int,
-    to_v: int,
-) -> Hypergraph:
-    """Move a bundle of edges from one attachment vertex to another.
-
-    Each stem e must be disjoint from {from_v, to_v}, and e + {from_v}
-    must be an edge of h.  Every such edge is removed and e + {to_v} is
-    inserted instead.  An empty stem list returns h unchanged.
-    """
-    stem_edges = [tuple(sorted(s)) for s in stems]
-    removed = []
-    inserted = []
-    for s in stem_edges:
-        if from_v in s or to_v in s:
-            raise HypergraphError(f"stem {s} must avoid both {from_v} and {to_v}")
-        old = tuple(sorted(s + (from_v,)))
-        if old not in h.edges:
-            raise HypergraphError(f"edge {old} not present in hypergraph")
-        removed.append(old)
-        inserted.append(tuple(sorted(s + (to_v,))))
-    removed_set = set(removed)
-    if len(removed_set) != len(removed):
-        raise HypergraphError("stem list names the same edge twice")
-    kept = [e for e in h.edges if e not in removed_set]
-    for e in inserted:
-        if e in kept:
-            raise DuplicateEdgeError(f"swap would duplicate edge {e}")
-        kept.append(e)
-    return Hypergraph(h.n, kept)
-
-
-def coalesce(h1: Hypergraph, u: int, h2: Hypergraph, w: int) -> Hypergraph:
-    """Glue h2 onto h1 by identifying vertex w of h2 with vertex u of h1.
-
-    The result has n1 + n2 - 1 vertices and m1 + m2 edges; h1 keeps its
-    labels and the remaining vertices of h2 are appended in order.
-    """
-    if not 0 <= u < h1.n:
-        raise HypergraphError(f"vertex {u} outside 0..{h1.n - 1}")
-    if not 0 <= w < h2.n:
-        raise HypergraphError(f"vertex {w} outside 0..{h2.n - 1}")
-    relabel = {}
-    nxt = h1.n
-    for x in range(h2.n):
-        if x == w:
-            relabel[x] = u
-        else:
-            relabel[x] = nxt
-            nxt += 1
-    edges = list(h1.edges) + [tuple(sorted(relabel[x] for x in e)) for e in h2.edges]
-    return Hypergraph(h1.n + h2.n - 1, edges)
 
 
 def _neighbor_sets(h: Hypergraph) -> list[set[int]]:

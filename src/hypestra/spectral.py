@@ -329,7 +329,12 @@ def trace_power(matrix, t: int) -> int:
     products by binary exponentiation)."""
     if t < 0:
         raise ValueError(f"power must be >= 0, got {t}")
-    return int(sum(np.linalg.matrix_power(_exact(matrix), t).diagonal().tolist()))
+    a = np.asarray(matrix)
+    if a.dtype.kind in "fc":
+        raise ValueError(f"trace_power needs an integer matrix, got dtype {a.dtype}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return int(sum(np.linalg.matrix_power(_exact(a), t).diagonal().tolist()))
 
 
 def walk_count(h: Hypergraph, u: int, v: int, s: int) -> int:

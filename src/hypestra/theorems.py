@@ -711,10 +711,6 @@ class ExtremalReport:
     passed: bool
     scope_note: str
 
-    @property
-    def max_ee(self) -> float:
-        return self.ranking[0][1]
-
 
 _SCOPE_NOTE = (
     "catalog covers pendant edges on ring vertices and ring fillers plus "
