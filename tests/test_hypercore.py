@@ -68,11 +68,13 @@ class TestConstruction:
         with pytest.raises(HypergraphError, match="repeats"):
             Hypergraph(3, [(0, 0, 1)])
 
-    def test_vertex_count_must_be_an_integer(self):
+    @pytest.mark.parametrize("n", [2.5, True, np.float64(3.0), "3", None])
+    def test_vertex_count_must_be_an_integer(self, n):
         # a float count would fail only later, inside numpy; a bool is no count
-        for n in (2.5, True, np.float64(3.0), "3", None):
-            with pytest.raises(HypergraphError, match="vertex count must be an integer"):
-                Hypergraph(n, [])
+        with pytest.raises(HypergraphError, match="vertex count must be an integer"):
+            Hypergraph(n, [])
+
+    def test_numpy_integer_vertex_count_is_stored_as_int(self):
         h = Hypergraph(np.int64(3), [(0, 1)])
         assert type(h.n) is int
         assert h == Hypergraph(3, [(0, 1)])
@@ -163,17 +165,23 @@ class TestShrinkExtend:
         with pytest.raises(DuplicateEdgeError):
             shrink(h, 2, h.edge_index((0, 1, 2)))
 
-    def test_edge_index_out_of_range(self):
-        # -1 would silently edit the last edge, and m (or any index into an
-        # edgeless hypergraph) would escape as a bare IndexError
-        h = cycle(3, 3)
-        for idx in (-1, h.m):
-            with pytest.raises(HypergraphError, match=f"edge index {idx} outside 0..2"):
-                shrink(h, 2, idx)
-            with pytest.raises(HypergraphError, match=f"edge index {idx} outside 0..2"):
-                extend_edge(h, idx, 6)
+    @pytest.mark.parametrize("idx", [-1, 3])
+    def test_shrink_edge_index_out_of_range(self, idx):
+        # -1 would silently edit the last edge, and m would escape as a bare
+        # IndexError
+        with pytest.raises(HypergraphError, match=f"edge index {idx} outside 0..2"):
+            shrink(cycle(3, 3), 2, idx)
+
+    @pytest.mark.parametrize("idx", [-1, 3])
+    def test_extend_edge_index_out_of_range(self, idx):
+        with pytest.raises(HypergraphError, match=f"edge index {idx} outside 0..2"):
+            extend_edge(cycle(3, 3), idx, 6)
+
+    def test_shrink_edgeless_has_no_edge_index(self):
         with pytest.raises(HypergraphError, match="edge index 0"):
             shrink(edgeless(3), 0, 0)
+
+    def test_extend_edge_edgeless_has_no_edge_index(self):
         with pytest.raises(HypergraphError, match="edge index 0"):
             extend_edge(edgeless(3), 0, 0)
 

@@ -453,15 +453,25 @@ class TestWalks:
         assert trace_power(np.array([[0, 1], [1, 0]]), s - 1) == 2
         assert time.perf_counter() - start < 1.0
 
-    def test_trace_power_rejects_float_and_non_square_input(self):
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[0.5]], np.eye(2) * 0.9, np.eye(2, dtype=complex)],
+        ids=["float-list", "float-array", "complex"],
+    )
+    def test_trace_power_rejects_non_integer_input(self, matrix):
         # the integer power pass would truncate a float matrix: [[0.5]] would
         # give 0, and 0.9 I_2 squared 1 instead of 1.62
-        for matrix in ([[0.5]], np.eye(2) * 0.9, np.eye(2, dtype=complex)):
-            with pytest.raises(ValueError, match="integer matrix"):
-                trace_power(matrix, 2)
-        for matrix in (np.zeros((2, 3), dtype=int), np.arange(3)):
-            with pytest.raises(ValueError, match="square"):
-                trace_power(matrix, 2)
+        with pytest.raises(ValueError, match="integer matrix"):
+            trace_power(matrix, 2)
+
+    @pytest.mark.parametrize(
+        "matrix", [np.zeros((2, 3), dtype=int), np.arange(3)], ids=["2x3", "vector"]
+    )
+    def test_trace_power_rejects_non_square_input(self, matrix):
+        with pytest.raises(ValueError, match="square"):
+            trace_power(matrix, 2)
+
+    def test_trace_power_accepts_integer_lists(self):
         assert trace_power([[1, 2], [3, 4]], 2) == 29
 
     def test_summary_walks_share_the_moment_pass(self, small_fixtures):
