@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain
 
 import numpy as np
 
@@ -94,9 +94,9 @@ def _adjacency_stack(hs: list[Hypergraph], n: int) -> np.ndarray:
     """Adjacency matrices of hypergraphs on n vertices each, as one
     read-only (len(hs), n, n) int64 stack.
 
-    Edge e of hypergraph b counts its pairs at offset b*n^2, so each
-    position pair takes one bincount over every edge of the batch, and
-    memory stays O(len(hs)*n^2 + m*k) however many edges there are.
+    Edge e of hypergraph b counts its vertex pairs at offset b*n^2, so
+    each edge size takes one bincount over every pair of the batch, and
+    memory stays O(len(hs)*n^2 + m*k^2) however many edges there are.
     """
     edges = [e for h in hs for e in h.edges]
     # where each edge's matrix starts in counts; a lone matrix starts at 0,
@@ -113,15 +113,14 @@ def _adjacency_stack(hs: list[Hypergraph], n: int) -> np.ndarray:
         if len(sizes) > 1:
             picked = [i for i, edge in enumerate(edges) if len(edge) == size]
             group, base = [edges[i] for i in picked], offsets[picked]
-        # e[x] holds every edge's x-th vertex; rows[x] is the row part of
-        # the pair key, shifted to the edge's own matrix
-        e = np.array(list(zip(*group)), dtype=np.int64)
-        rows = e[:-1] * n + base
-        # edges are increasing tuples, so x < y lands above the diagonal
-        for x, y in combinations(range(size), 2):
-            counts += np.bincount(rows[x] + e[y], minlength=counts.size)
-    upper = counts.reshape(len(hs), n, n)
-    stack = upper + upper.transpose(0, 2, 1)
+        # e[i, x, 0] is edge i's x-th vertex, so keys[i, x, y] is where the
+        # pair (x, y) of edge i lands in its own matrix
+        e = np.fromiter(chain.from_iterable(group), np.int64).reshape(-1, size, 1)
+        keys = e * n + base[:, None, None] + e.transpose(0, 2, 1)
+        counts += np.bincount(keys.ravel(), minlength=counts.size)
+    # each vertex paired with itself counted its degree on the diagonal
+    counts.reshape(len(hs), n * n)[:, :: n + 1] = 0
+    stack = counts.reshape(len(hs), n, n)
     stack.flags.writeable = False
     return stack
 
@@ -160,18 +159,15 @@ def as_symmetric(matrix) -> np.ndarray:
 
 
 def _solve(stack: np.ndarray) -> list[Spectrum]:
-    """Spectra of a (B, n, n) stack of one order from one eigvalsh call,
-    eigenvalues descending, once every matrix is checked to be exactly
-    symmetric; the stack is made read-only, as each spectrum keeps its
-    matrix.
+    """Spectra of a (B, n, n) stack of exactly symmetric matrices of one
+    order from one eigvalsh call, eigenvalues descending; the stack is
+    made read-only, as each spectrum keeps its matrix.
 
     LAPACK solves each matrix of the stack on its own, so every spectrum
     is bitwise the one a one-matrix call gives.  The Frobenius norms are
     row-wise dot products, the same sums ``np.linalg.norm`` takes.
     """
     stack.flags.writeable = False
-    if not (stack == stack.transpose(0, 2, 1)).all():
-        raise ValueError("matrix is not exactly symmetric")
     f = stack.astype(float)
     values = np.linalg.eigvalsh(f)[:, ::-1].copy()
     b, n, _ = f.shape
@@ -257,12 +253,12 @@ def estrada_index(spectrum: Spectrum) -> float:
 
 def energy(spectrum: Spectrum) -> float:
     """Sum of absolute eigenvalues."""
-    return float(np.sum(np.abs(spectrum.eigenvalues)))
+    return float(np.abs(spectrum.eigenvalues).sum())
 
 
 def negative_count(spectrum: Spectrum) -> int:
     """Number of eigenvalues that ``_compare`` puts below zero."""
-    return int(np.sum(spectrum.eigenvalues < -spectrum.zero_tolerance))
+    return int(np.count_nonzero(spectrum.eigenvalues < -spectrum.zero_tolerance))
 
 
 def distinct_eigenvalues(spectrum: Spectrum) -> list[tuple[float, int]]:

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .spectral import (
     energy,
     estrada_index,
     negative_count,
-    spectral_moment,
     spectra_of,
     spectrum_of,
 )
@@ -88,13 +86,17 @@ def _report(
     claim: str,
     inputs: dict,
     extra: dict | None = None,
+    slack: int | float | None = None,
 ) -> BoundReport:
-    if claim == "le":
-        slack, sign = rhs - lhs, _compare(rhs, lhs)
-    elif claim == "ge":
-        slack, sign = lhs - rhs, _compare(lhs, rhs)
-    else:
+    """A slack passed in is computed without cancellation, and decides
+    holds/equality alone; ``_compare`` of an int slack with 0 is exact."""
+    if claim not in ("le", "ge"):
         raise ValueError(f"claim must be 'le' or 'ge', got {claim!r}")
+    big, small = (rhs, lhs) if claim == "le" else (lhs, rhs)
+    if slack is None:
+        slack, sign = big - small, _compare(big, small)
+    else:
+        sign = _compare(slack, 0.0)
     return BoundReport(
         bound_id=bound_id,
         lhs=float(lhs),
@@ -123,12 +125,11 @@ def _resolve_k(h: Hypergraph, k: int | None) -> int | None:
     return u
 
 
-def _sum_largest(bound_id, spectrum, t, variant, rhs_of, inputs, extra) -> BoundReport:
+def _sum_largest(bound_id, spectrum, theta, t, variant, rhs_of, inputs, extra) -> BoundReport:
     """The sum of the t largest eigenvalues against rhs_of(theta, core)
-    for both variants of core(theta, t), with theta the negative count
-    and core = (theta + sqrt(theta*(t*theta + t - 1))) / den."""
-    theta = negative_count(spectrum)
-    lhs = float(np.sum(spectrum.eigenvalues[:t]))
+    for both variants of core(theta, t), with theta the spectrum's
+    negative count and core = (theta + sqrt(theta*(t*theta + t - 1))) / den."""
+    lhs = float(spectrum.eigenvalues[:t].sum())
     top = theta + math.sqrt(theta * (t * theta + t - 1))
     rhs_by_variant = {
         AS_WRITTEN: rhs_of(theta, top / (2 * theta + 1)),
@@ -149,11 +150,12 @@ def _sum_largest(bound_id, spectrum, t, variant, rhs_of, inputs, extra) -> Bound
 class _Facts:
     """The facts of one hypergraph h that its bounds read, and the bounds.
 
-    n and m are read off h.  Every other fact is computed once, when a
-    bound first reads it, so an error (non-uniform input, an Estrada sum
-    past double precision) raises at the first bound that needs the fact,
-    in the order the bounds run.  A spectrum solved beforehand is set like
-    a plain attribute, and is then not solved again.
+    n and m are read off h.  Every other fact x is computed once, by _x,
+    when a bound first reads it, so an error (non-uniform input, an
+    Estrada sum past double precision) raises at the first bound that
+    needs the fact, in the order the bounds run.  A spectrum solved
+    beforehand is set like a plain attribute, and is then not solved again.
+    Unlike ``functools.cached_property`` before Python 3.12, no lock.
     """
 
     def __init__(self, h: Hypergraph, k: int | None, spectrum: Spectrum | None = None):
@@ -161,39 +163,43 @@ class _Facts:
         if spectrum is not None:
             self.spectrum = spectrum
 
-    @cached_property
-    def k(self) -> int | None:
+    def __getattr__(self, name):  # only reached while x is not yet set
+        value = self.__dict__[name] = getattr(_Facts, "_" + name)(self)
+        return value
+
+    def _k(self) -> int | None:
         return _resolve_k(self.h, self.requested_k)
 
     @property
     def inputs(self) -> dict:
         return {"n": self.n, "m": self.m, "k": self.k, "t": None}
 
-    @cached_property
-    def spectrum(self) -> Spectrum:
+    def _spectrum(self) -> Spectrum:
         return spectrum_of(self.h)
 
-    @cached_property
-    def ee(self) -> float:
+    def _theta(self) -> int:
+        return negative_count(self.spectrum)
+
+    def _ee(self) -> float:
         return estrada_index(self.spectrum)
 
-    @cached_property
-    def moment2_upper(self) -> float:
+    def _moment2(self) -> int:
+        """tr A^2 = sum of the squared entries of A, exact in Python ints."""
+        return sum([x * x for x in self.spectrum.matrix.ravel().tolist()])
+
+    def _moment2_upper(self) -> int:
         """(k-1)m(m(k-2)+2), the upper bound on the second moment."""
         m, k = self.m, self.k
-        return 0.0 if m == 0 else float((k - 1) * m * (m * (k - 2) + 2))
+        return 0 if m == 0 else (k - 1) * m * (m * (k - 2) + 2)
 
-    @cached_property
-    def root(self) -> float:
+    def _root(self) -> float:
         return math.sqrt(self.moment2_upper)
 
-    @cached_property
-    def complement(self) -> Spectrum:
+    def _complement(self) -> Spectrum:
         """Spectrum of the k-uniform complement."""
         return eigendecompose(_complement_adjacency(self.spectrum.matrix, self.k))
 
-    @cached_property
-    def ee_complement(self) -> float:
+    def _ee_complement(self) -> float:
         return estrada_index(self.complement)
 
     # --- the bounds, one per public checker ---
@@ -207,6 +213,7 @@ class _Facts:
         return _sum_largest(
             "cor3.2-sum-largest",
             self.spectrum,
+            self.theta,
             t,
             variant,
             lambda theta, core: 0.0 if theta == 0 else n * math.comb(n - 2, self.k - 2) * core,
@@ -215,12 +222,12 @@ class _Facts:
         )
 
     def moment2_bounds(self) -> tuple[BoundReport, BoundReport]:
-        inputs = self.inputs
-        m2 = spectral_moment(self.spectrum, 2)
-        lower = 0.0 if self.m == 0 else float(self.k * (self.k - 1) * self.m)
+        inputs, m2 = self.inputs, self.moment2
+        lower = 0 if self.m == 0 else self.k * (self.k - 1) * self.m
+        upper = self.moment2_upper
         return (
-            _report("thm2.12-moment-lower", lower, m2, "le", inputs),
-            _report("thm2.12-moment-upper", m2, self.moment2_upper, "le", inputs),
+            _report("thm2.12-moment-lower", lower, m2, "le", inputs, slack=m2 - lower),
+            _report("thm2.12-moment-upper", m2, upper, "le", inputs, slack=upper - m2),
         )
 
     def ee_lower_spectral(self) -> BoundReport:
@@ -277,16 +284,22 @@ def check_sum_t_largest_matrix(
     tighter, and the per-n (tau) forms of both sides.
     """
     matrix = as_symmetric(matrix)
-    n = matrix.shape[0]
-    if not 2 <= t <= n:
-        raise HypergraphError(f"need 2 <= t <= n, got t={t}, n={n}")
+    if not 2 <= t <= len(matrix):
+        raise HypergraphError(f"need 2 <= t <= n, got t={t}, n={len(matrix)}")
     if spectrum is None:
         spectrum = eigendecompose(matrix)
+    return _entry_range(matrix, spectrum, negative_count(spectrum), t, variant)
+
+
+def _entry_range(matrix, spectrum, theta, t, variant) -> BoundReport:
+    """thm3.1 on a checked matrix and t, theta the spectrum's negative count."""
+    n = matrix.shape[0]
     a = float(matrix.min())
     b = float(matrix.max())
     report = _sum_largest(
         "thm3.1-sum-largest",
         spectrum,
+        theta,
         t,
         variant,
         lambda _, core: n * (core * (b - a) + max(0.0, a)),
@@ -358,9 +371,9 @@ def check_ee_upper_energy(
     return _Facts(h, k, spectrum).ee_upper_energy()
 
 
-def _complement_adjacency(a: np.ndarray, k: int) -> np.ndarray:
-    """Adjacency of the k-uniform complement from the adjacency a of a
-    k-uniform hypergraph, without listing the complement's edges.
+def _complement_adjacency(a: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Adjacency of the k-uniform complement, into ``out`` if given, from
+    the adjacency a of a k-uniform hypergraph, without listing its edges.
 
     Every vertex pair lies in C(n-2, k-2) k-subsets, so the complement's
     pair counts are C(n-2, k-2)*(J - I) - a.
@@ -369,9 +382,9 @@ def _complement_adjacency(a: np.ndarray, k: int) -> np.ndarray:
     if not 2 <= k <= n:
         raise HypergraphError(f"need 2 <= k <= n for complement, got k={k}, n={n}")
     # a pair count past int64 raises here instead of wrapping
-    bar = np.full((n, n), np.int64(math.comb(n - 2, k - 2)))
-    np.fill_diagonal(bar, 0)
-    return bar - a
+    out = np.subtract(np.int64(math.comb(n - 2, k - 2)), a, out=out)
+    out.flat[:: n + 1] = 0
+    return out
 
 
 def check_nordhaus_gaddum(
@@ -472,31 +485,32 @@ def check_all_bounds(
 
     The adjacency A of h is built once.  The complement's matrix
     C(n-2,k-2)(J - I) - A and the probe's, A plus one on each pair of the
-    first missing k-subset, come from it, and all of them are solved as
-    one stack.  Each spectrum is bitwise the one a lone solve gives, and
-    every bound reads the one fact set of h.
+    first missing k-subset, are written next to it into one stack, which
+    is solved in one call.  Each spectrum is bitwise the one a lone solve
+    gives, and every bound reads the one fact set of h.
     """
     f = _Facts(h, k)
     a = adjacency(h)
-    matrices = [a]
+    stack, size = a[None].repeat(3, axis=0), 1
     # a complement that cannot be built is left for the complement-sum
     # bound to raise at its usual place, which comes before the probe is needed
     if f.k is not None:
         with suppress(HypergraphError, OverflowError):
-            matrices.append(_complement_adjacency(a, f.k))
-    probe = _first_missing_edge(h, f.k) if len(matrices) > 1 else None
+            _complement_adjacency(a, f.k, out=stack[1])
+            size = 2
+    probe = _first_missing_edge(h, f.k) if size > 1 else None
     if probe is not None:
-        i, j = zip(*combinations(probe, 2))
-        grown = a.copy()
-        grown[i + j, j + i] += 1
-        matrices.append(grown)
+        for x, y in permutations(probe, 2):
+            stack[2, x, y] += 1
+        size = 3
     # the stacked spectra stand in for the fact set's own solves
-    f.spectrum, *others = _solve(np.stack(matrices))
+    f.spectrum, *others = _solve(stack[:size])
     if others:
         f.complement = others[0]
+    # cor3.2 checks t first; thm3.1 then reads the library's own A unchecked
     reports = [
-        check_sum_t_largest_matrix(a, t, variant, spectrum=f.spectrum),
         f.sum_largest(t, variant),
+        _entry_range(f.spectrum.matrix, f.spectrum, f.theta, t, variant),
         *f.moment2_bounds(),
         f.ee_lower_spectral(),
         f.ee_lower_edges(),
@@ -567,25 +581,21 @@ def ring_reduction(h: Hypergraph, m: int, k: int) -> Hypergraph:
 
 def _lemma26_sides(k: int, size_budget: int) -> list[_Sides]:
     out = []
-    m = 4
-    while (k - 1) * m <= size_budget:
-        s = 0
-        while (k - 1) * (m + s) <= size_budget:
+    q = size_budget // (k - 1)  # a ring of m edges and s pendants fits if m + s <= q
+    for m in range(4, q + 1):
+        for s in range(q - m + 1):
             for comp in fam.compositions(s, m):
                 if comp[2] != max(comp):
                     continue
                 h = fam.unicyclic_cm(k, list(comp))
                 label = fam.cm_label(k, comp)
                 out.append((label, h, label + "->reduced", ring_reduction(h, m, k)))
-            s += 1
-        m += 1
     return out
 
 
 def _lemma27_sides(k: int, size_budget: int) -> list[_Sides]:
     out = []
-    s = 3
-    while (k - 1) * (3 + s) <= size_budget:
+    for s in range(3, size_budget // (k - 1) - 3 + 1):
         for n1 in range(1, s - 1):
             for n2 in range(1, s - n1 + 1):
                 n3 = s - n1 - n2
@@ -594,30 +604,25 @@ def _lemma27_sides(k: int, size_budget: int) -> list[_Sides]:
                 middle = fam.cm_label(k, (n1 + n2, n3, 0))
                 out.append(_pair(fam.cm_label(k, (n1, n2, n3)), middle))
                 out.append(_pair(middle, fam.cm_label(k, (n1 + n2 + n3, 0, 0))))
-        s += 1
     return out
 
 
 def _lemma42_sides(k: int, size_budget: int) -> list[_Sides]:
     out = []
-    s = 2
-    while (k - 1) * (2 + s) <= size_budget:
+    for s in range(2, size_budget // (k - 1) - 2 + 1):
         for n2 in range(1, s // 2 + 1):
             n1 = s - n2
             if n1 < n2:
                 continue
             out.append(_pair(fam.cm_label(k, (n1, n2)), fam.cm_label(k, (n1 + 1, n2 - 1))))
-        s += 1
     return out
 
 
 def _lemma43_sides(k: int, size_budget: int) -> list[_Sides]:
-    out = []
-    q = 4
-    while (k - 1) * q <= size_budget:
-        out.append(_pair(fam.cm_label(k, (q - 3, 0, 0)), fam.cm_label(k, (q - 3, 1))))
-        q += 1
-    return out
+    return [
+        _pair(fam.cm_label(k, (q - 3, 0, 0)), fam.cm_label(k, (q - 3, 1)))
+        for q in range(4, size_budget // (k - 1) + 1)
+    ]
 
 
 def _monotonicity_sides(k: int, size_budget: int) -> list[_Sides]:
@@ -756,9 +761,7 @@ def verify_extremal(n_over: int, k: int) -> ExtremalReport:
         # G**: the extra edge hangs on the filler vertex 2 of ring edge 0
         expected_second_label = fam.cm_label(k, (0, 0, 1) + (0,) * (2 * (k - 1) - 3), 2)
     if len(groups) < 2:
-        raise HypergraphError(
-            f"catalog for n_over={n_over}, k={k} has a single Estrada value"
-        )
+        raise HypergraphError(f"catalog for n_over={n_over}, k={k} has a single Estrada value")
     max_labels = tuple(label for label, _ in groups[0])
     second_labels = tuple(label for label, _ in groups[1])
     max_is_expected = expected_max_label in max_labels
@@ -767,9 +770,7 @@ def verify_extremal(n_over: int, k: int) -> ExtremalReport:
     shapes = dict(catalog)
     diameter_max = diameter(shapes[max_labels[0]])
     diameter_second = diameter(shapes[second_labels[0]])
-    diameters_expected = (
-        (diameter_max, diameter_second) == (2, 3) if n_over >= 4 else True
-    )
+    diameters_expected = n_over < 4 or (diameter_max, diameter_second) == (2, 3)
     return ExtremalReport(
         n_over=n_over,
         k=k,
