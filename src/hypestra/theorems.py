@@ -63,8 +63,8 @@ class BoundReport:
 
     ``slack`` is signed so that nonnegative means the bound holds with
     room: rhs - lhs for upper bounds (lhs <= rhs), lhs - rhs for lower
-    bounds.  ``holds``/``equality`` mean ``spectral._compare`` of the two
-    sides finds the slack nonnegative/zero, within its relative bound.
+    bounds.  ``holds``/``equality`` mean ``spectral._compare`` finds it
+    nonnegative/zero: the two sides, or a cancellation-free slack and 0.
     ``inputs`` records n, m, k, t where applicable and ``extra`` carries
     per-bound metadata (variants, tau forms, notes).
     """
@@ -234,8 +234,11 @@ class _Facts:
         lhs = self.ee
         lam1 = self.spectrum.lambda1
         rhs = math.exp(lam1) + (self.n - 1) - lam1
+        # tr A = 0 makes lhs - rhs the sum over i >= 2 of exp(l_i) - 1 - l_i:
+        # no term of size exp(l1) cancels, and no term is below 0
+        slack = math.fsum(math.expm1(x) - x for x in self.spectrum.eigenvalues[1:].tolist())
         inputs = {"n": self.n, "m": self.m, "k": None, "t": None}
-        return _report("ee-lower-spectral", lhs, rhs, "ge", inputs)
+        return _report("ee-lower-spectral", lhs, rhs, "ge", inputs, slack=slack)
 
     def ee_lower_edges(self) -> BoundReport:
         inputs = self.inputs

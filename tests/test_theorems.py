@@ -47,6 +47,8 @@ from hypestra import (
     verify_ordering_lemmas,
 )
 from hypestra import cli, hypercore, spectral, theorems
+from hypestra.hypercore import uniformity
+from hypestra.spectral import negative_count, spectral_moment
 
 from conftest import family_fixtures
 
@@ -164,6 +166,16 @@ class TestMoment2:
         assert upper.lhs == pytest.approx(48.0, abs=1e-8)
         assert upper.rhs == 48.0 and upper.equality
 
+    def test_int_slack_decides_exactly(self):
+        # a side of 10**12 one below the other: within _compare's relative
+        # bound of the sides, but an int slack of 1 is no equality
+        big = 10**12
+        assert theorems._report("x", big, big + 1, "le", {}).equality
+        for slack, verdict in ((1, (True, False)), (0, (True, True)), (-1, (False, False))):
+            report = theorems._report("x", big, big + slack, "le", {}, slack=slack)
+            assert (report.holds, report.equality) == verdict, slack
+            assert report.slack == float(slack)
+
 
 class TestEstradaBounds:
     def test_spectral_lower_examples(self):
@@ -199,6 +211,43 @@ class TestEstradaBounds:
         assert refined.rhs == pytest.approx(4 + 2 * GOLDEN - 1 - 4 + math.exp(4), abs=1e-8)
         refined, coarse = check_ee_upper_energy(Hypergraph(3, [(0, 1, 2)]))
         assert coarse.rhs == pytest.approx(2 + math.exp(4), abs=1e-9)
+
+    @staticmethod
+    def _criterion_3_sample():
+        """The random instances of acceptance criterion 3 (seed 3), every
+        fixture, and edgeless hypergraphs of order 0 to 8."""
+        rng = random.Random(3)
+        for _ in range(1000):
+            k = rng.choice((2, 3, 4))
+            n = rng.randint(max(3, k), 12)
+            m = rng.randint(1, min(math.comb(n, k), 4 * n))
+            yield random_uniform(n, k, m, rng)
+        yield from (h for _, h, _ in family_fixtures())
+        yield from map(edgeless, range(9))
+
+    def test_spectral_lower_equality_only_on_edgeless(self):
+        # the README's equality column: exp(l1) + (n-1) - l1 is attained
+        # exactly by the edgeless hypergraph
+        sample = [
+            *self._criterion_3_sample(),
+            *(complete_uniform(n, 3) for n in range(7, 16)),
+            *(complete_uniform(n, 4) for n in range(6, 11)),
+        ]
+        for h in sample:
+            report = check_ee_lower_spectral(h)
+            assert report.holds and report.slack >= 0, h
+            assert report.equality == (h.m == 0), h
+
+    def test_spectral_lower_slack_without_cancellation(self):
+        # complete_uniform(n, 3) has A = (n-2)(J - I): eigenvalue
+        # (n-2)(n-1) once and -(n-2) n-1 times, so the slack is
+        # (n-1)(exp(-(n-2)) - 1 + (n-2)), while EE is near exp((n-2)(n-1))
+        for n, slack in ((7, 24.0404276819), (8, 35.0173512652)):
+            report = check_ee_lower_spectral(complete_uniform(n, 3))
+            exact = (n - 1) * (math.exp(2 - n) - 1 + (n - 2))
+            assert report.slack == pytest.approx(exact, rel=1e-12), n
+            assert report.slack == pytest.approx(slack, abs=1e-10), n
+            assert not report.equality, n
 
     def test_equality_only_on_edgeless(self, fixtures):
         for name, h, k in fixtures:
@@ -511,6 +560,52 @@ class TestCheckAllBoundsFactsOnce:
             assert calls == {"k": 1, "ee": solved}, name
             checked += 1
         assert checked > 200
+
+
+class TestCheckAllBoundsFloor:
+    """check_all_bounds reads each spectral fact once: theta once for both
+    sum-of-largest bounds, the library's A without re-validation, and the
+    second moment without an object-dtype pass."""
+
+    def test_theta_once_and_no_revalidation(self, fixtures, monkeypatch):
+        calls = Counter()
+
+        def counted(spectrum):
+            calls["theta"] += 1
+            return negative_count(spectrum)
+
+        def refuse(*args):
+            raise AssertionError("library-built adjacency re-validated")
+
+        monkeypatch.setattr(theorems, "negative_count", counted)
+        monkeypatch.setattr(theorems, "as_symmetric", refuse)
+        for name, h, k in fixtures:
+            calls.clear()
+            check_all_bounds(h, k, t=2)
+            assert calls == {"theta": 1}, name
+
+    def test_second_moment_without_object_dtype(self, fixtures, monkeypatch):
+        rng = random.Random(64)
+        wide = [random_uniform(64, 3, 128, rng), random_uniform(64, 2, 128, rng)]
+        cases = [(h, k) for _, h, k in fixtures] + [(h, uniformity(h)) for h in wide]
+        expected = [spectral_moment(spectrum_of(h), 2) for h, _ in cases]
+
+        def refuse(matrix):
+            raise AssertionError("object-dtype pass")
+
+        monkeypatch.setattr(spectral, "_exact", refuse)
+        for (h, k), m2 in zip(cases, expected):
+            try:
+                reports = {r.bound_id: r for r in check_all_bounds(h, k)}
+            except OverflowError:
+                # the complement's Estrada sum of the 3-uniform n = 64 input
+                # leaves double precision; its moments are read alone
+                assert h.n == 64 and k == 3
+                lower, upper = check_moment2_bounds(h, k)
+                reports = {r.bound_id: r for r in (lower, upper)}
+            assert reports["thm2.12-moment-upper"].lhs == float(m2), (h.n, h.m)
+            assert reports["thm2.12-moment-lower"].rhs == float(m2), (h.n, h.m)
+            assert isinstance(m2, int)
 
 
 #: a 2-uniform ring plus one 3-edge

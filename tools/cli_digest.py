@@ -11,7 +11,7 @@ byte-identical over the corpus, so an output change shows up as a diff:
     PYTHONPATH=new/src python3 tools/cli_digest.py > new.txt
     diff old.txt new.txt
 
-The corpus (5,006 calls, about 4 s on one core):
+The corpus (5,021 calls, about 4 s on one core):
 
 - ``check`` in text, JSON and CSV, with ``--t 2|3`` and ``--k`` at the
   true k and k +- 1, ``check --variant theta-plus-one`` at the true k,
@@ -21,6 +21,10 @@ The corpus (5,006 calls, about 4 s on one core):
   ``complement --k 3`` of those three (up to 41,536 edges);
 - ``check`` on n = 100, k = 51 inputs whose errors compete for the one
   line on stderr;
+- ``check --format json`` on the complete 3-uniform hypergraphs of order
+  7 to 16 and the complete 4-uniform ones of order 6 to 10, where the
+  Estrada index dwarfs the ``ee-lower-spectral`` slack (order 16 exits on
+  the Estrada sum past double precision);
 - ``check`` (also with ``--t 1``), ``spectrum`` (also with ``--smax -1``
   in every format) and ``complement`` on a small input, on a file that
   is not UTF-8 and on a missing file;
@@ -138,6 +142,10 @@ def corpus(rng: random.Random) -> list[list[str]]:
             calls.append(["spectrum", path, "--smax", "8", "--format", fmt])
     for n in (24, 40, 64):
         calls.append(["complement", f"scale-{n}.txt", "--k", "3"])
+    for k, orders in ((3, range(7, 17)), (4, range(6, 11))):
+        for n in orders:
+            path = write_input(f"full-{n}-{k}.json", n, combinations(range(n), k))
+            calls.append(["check", path, "--k", str(k), "--format", "json"])
     for path in precedence_inputs(rng):
         calls.append(["check", path, "--k", "51", "--format", "json"])
         calls.append(["check", path, "--k", "51", "--t", "150"])
