@@ -155,7 +155,7 @@ class _Facts:
     Estrada sum past double precision) raises at the first bound that
     needs the fact, in the order the bounds run.  A spectrum solved
     beforehand is set like a plain attribute, and is then not solved again.
-    Unlike ``functools.cached_property`` before Python 3.12, no lock.
+    The memo takes no lock, as ``functools.cached_property`` does before 3.12.
     """
 
     def __init__(self, h: Hypergraph, k: int | None, spectrum: Spectrum | None = None):
@@ -184,7 +184,7 @@ class _Facts:
         return estrada_index(self.spectrum)
 
     def _moment2(self) -> int:
-        """tr A^2 = sum of the squared entries of A, exact in Python ints."""
+        """tr A^2 = sum of the squared entries of the symmetric A, in ints."""
         return sum([x * x for x in self.spectrum.matrix.ravel().tolist()])
 
     def _moment2_upper(self) -> int:

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import time
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,27 @@ class TestAdjacency:
                 for y in e:
                     expected[x, y] += x != y
         assert np.array_equal(a, expected)
+
+    def test_stack_matches_pair_loop(self):
+        # one bincount per edge size, over a stack of mixed orders' worth of
+        # hypergraphs, against counting each edge's pairs in a loop
+        rng = random.Random(16)
+        hs = []
+        for _ in range(60):
+            n = rng.randint(2, 9)
+            pool = [e for size in (2, 3, 4) for e in combinations(range(n), size)]
+            hs.append(Hypergraph(n, rng.sample(pool, rng.randint(0, min(12, len(pool))))))
+        for n in {h.n for h in hs}:
+            batch = [h for h in hs if h.n == n]
+            expected = np.zeros((len(batch), n, n), dtype=np.int64)
+            for b, h in enumerate(batch):
+                for e in h.edges:
+                    for x, y in combinations(e, 2):
+                        expected[b, x, y] += 1
+                        expected[b, y, x] += 1
+            assert np.array_equal(spectral._adjacency_stack(batch, n), expected), n
+            for b, h in enumerate(batch):
+                assert np.array_equal(adjacency(h), expected[b]), h
 
     def test_read_only_int64(self):
         a = adjacency(cycle(2, 3))
