@@ -211,7 +211,19 @@ def cmd_spectrum(args) -> int:
 
 def _render_bound_reports(reports, fmt: str) -> str:
     if fmt == "json":
-        return _json_text([vars(r) for r in reports])
+        # _json_text([vars(r) for r in reports]) from one layout in BoundReport's field order: each
+        # value through the writer's table for its field's type, inputs and extra through _json_value
+        text, real, truth = _JSON_SCALARS[str], _JSON_SCALARS[float], _JSON_SCALARS[bool]
+        nested = "\n    "
+        items = ",\n  ".join([
+            f'{{\n    "bound_id": {text(r.bound_id)},\n    "lhs": {real(r.lhs)},'
+            f'\n    "rhs": {real(r.rhs)},\n    "slack": {real(r.slack)},'
+            f'\n    "holds": {truth(r.holds)},\n    "equality": {truth(r.equality)},'
+            f'\n    "inputs": {_json_value(r.inputs, nested)},'
+            f'\n    "extra": {_json_value(r.extra, nested)}\n  }}'
+            for r in reports
+        ])
+        return "[\n  " + items + "\n]\n" if items else "[]\n"
     if fmt == "csv":
         return csv_text(_BOUND_CSV_HEADER, map(_bound_cells, reports))
     lines = []

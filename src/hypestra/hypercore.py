@@ -331,11 +331,12 @@ def from_json(text: str) -> Hypergraph:
 
 def read_file(path: str) -> Hypergraph:
     """Load a hypergraph, dispatching on the .json extension."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb", buffering=0) as fh:
         try:
-            text = fh.read()
+            text = fh.read().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(str(exc)) from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")  # the newlines of a text-mode read
     if str(path).endswith(".json"):
         return from_json(text)
     return from_text(text)

@@ -1,3 +1,5 @@
+import math
+import random
 import sys
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from hypestra import (
     g_star_star,
     hyperstar,
     path_p3,
+    random_uniform,
     unicyclic_cm,
 )
 
@@ -42,6 +45,19 @@ def family_fixtures() -> list[tuple[str, Hypergraph, int]]:
         ("cycle-5-2", cycle(5, 2), 2),
         ("star-2-3", hyperstar(2, 3), 2),
     ]
+
+
+def criterion_3_sample():
+    """The random instances of acceptance criterion 3 (seed 3), every
+    fixture, and edgeless hypergraphs of order 0 to 8."""
+    rng = random.Random(3)
+    for _ in range(1000):
+        k = rng.choice((2, 3, 4))
+        n = rng.randint(max(3, k), 12)
+        m = rng.randint(1, min(math.comb(n, k), 4 * n))
+        yield random_uniform(n, k, m, rng)
+    yield from (h for _, h, _ in family_fixtures())
+    yield from map(edgeless, range(9))
 
 
 @pytest.fixture(scope="session")

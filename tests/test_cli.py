@@ -1,9 +1,12 @@
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import random
+import re
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,9 +22,9 @@ from hypestra import (
     to_text,
     unicyclic_cm,
 )
-from hypestra.theorems import BoundReport, verify_extremal
+from hypestra.theorems import BoundReport, check_all_bounds, verify_extremal
 
-from conftest import family_fixtures
+from conftest import criterion_3_sample, family_fixtures
 from oracles import jacobi_eigh
 
 
@@ -565,6 +568,19 @@ class TestExitCodes:
             "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
         )
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_read_as_newlines(self, capsys, tmp_path, end):
+        lf, other = tmp_path / "lf.txt", tmp_path / "other.txt"
+        lf.write_bytes(b"4\n0 1 2\n0 1 3\n")
+        other.write_bytes(lf.read_bytes().replace(b"\n", end.encode()))
+        assert run(capsys, "spectrum", str(other)) == run(capsys, "spectrum", str(lf))
+        # a JSON error position counts one character per line end
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(f'{{{end}  "n": 4,{end}  "edges": [[0, 1, 2],{end}  ]{end}}}'.encode())
+        code, out, err = run(capsys, "check", str(bad), "--k", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: invalid JSON: Expecting value: line 4 column 3 (char 37)\n"
+
     @pytest.mark.parametrize(
         "argv,message",
         [
@@ -622,6 +638,27 @@ class TestJsonText:
     @pytest.mark.parametrize("value", CASES, ids=range(len(CASES)))
     def test_fixed_cases(self, value):
         assert cli._json_text(value) == _dumps(value)
+
+    def test_bound_report_layout(self):
+        hand_built = [
+            BoundReport("nan", math.nan, math.inf, -math.inf, False, False, {}),
+            BoundReport(
+                "caf\u00e9", -0.0, 1e300, 1e16, True, True, {"n": 3, "t": None},
+                {"claim": "le", "nested": {"a": [1, 2.5, None], "b": {}, "c": [math.nan]}},
+            ),
+        ]
+        # the layout writes BoundReport's fields in order, so a field gained,
+        # lost or moved fails here and in the comparisons below
+        keys = re.findall(r'^    "(\w+)": ', cli._render_bound_reports(hand_built[:1], "json"), re.M)
+        assert keys == [f.name for f in dataclasses.fields(BoundReport)]
+        batches = [[], hand_built]
+        batches += [check_all_bounds(h, None if h.m else 2) for h in criterion_3_sample() if h.n >= 2]
+        for n in range(7, 16):
+            full = list(combinations(range(n), 3))
+            batches.append(check_all_bounds(Hypergraph(n, full), 3))  # no probe
+            batches.append(check_all_bounds(Hypergraph(n, full[1:]), 3))  # probe
+        for reports in batches:
+            assert cli._render_bound_reports(reports, "json") == _dumps([vars(r) for r in reports])
 
     @pytest.mark.parametrize(
         "value", [np.int64(3), {1, 2}, b"x", [object()], {"a": {(1,): 2}}, {1: 2}], ids=range(6)

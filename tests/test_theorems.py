@@ -50,7 +50,7 @@ from hypestra import cli, hypercore, spectral, theorems
 from hypestra.hypercore import uniformity
 from hypestra.spectral import negative_count, spectral_moment
 
-from conftest import family_fixtures
+from conftest import criterion_3_sample, family_fixtures
 
 GOLDEN = 1 + math.sqrt(5)
 
@@ -212,24 +212,17 @@ class TestEstradaBounds:
         refined, coarse = check_ee_upper_energy(Hypergraph(3, [(0, 1, 2)]))
         assert coarse.rhs == pytest.approx(2 + math.exp(4), abs=1e-9)
 
-    @staticmethod
-    def _criterion_3_sample():
-        """The random instances of acceptance criterion 3 (seed 3), every
-        fixture, and edgeless hypergraphs of order 0 to 8."""
-        rng = random.Random(3)
-        for _ in range(1000):
-            k = rng.choice((2, 3, 4))
-            n = rng.randint(max(3, k), 12)
-            m = rng.randint(1, min(math.comb(n, k), 4 * n))
-            yield random_uniform(n, k, m, rng)
-        yield from (h for _, h, _ in family_fixtures())
-        yield from map(edgeless, range(9))
+    #: the README catalog rows whose equality column reads "edgeless"
+    EDGELESS_ROWS = {
+        "cor3.2-sum-largest", "ee-lower-spectral", "thm4.1-ee-lower", "thm4.2-ee-upper",
+        "thm4.3-ee-upper-energy", "rem4.4-ee-upper-energy",
+    }
 
     def test_spectral_lower_equality_only_on_edgeless(self):
-        # the README's equality column: exp(l1) + (n-1) - l1 is attained
-        # exactly by the edgeless hypergraph
+        # the README's equality column: exp(l1) + (n-1) - l1, and every
+        # other "edgeless" row, is attained exactly by the edgeless hypergraph
         sample = [
-            *self._criterion_3_sample(),
+            *criterion_3_sample(),
             *(complete_uniform(n, 3) for n in range(7, 16)),
             *(complete_uniform(n, 4) for n in range(6, 11)),
         ]
@@ -237,6 +230,14 @@ class TestEstradaBounds:
             report = check_ee_lower_spectral(h)
             assert report.holds and report.slack >= 0, h
             assert report.equality == (h.m == 0), h
+            if h.n < 2:
+                continue  # the catalog's t = 2 needs two vertices
+            reports = [
+                r for r in check_all_bounds(h, None if h.m else 2) if r.bound_id in self.EDGELESS_ROWS
+            ]
+            assert {r.bound_id for r in reports} == self.EDGELESS_ROWS, h
+            for r in reports:
+                assert r.holds and r.equality == (h.m == 0), (h, r.bound_id)
 
     def test_spectral_lower_slack_without_cancellation(self):
         # complete_uniform(n, 3) has A = (n-2)(J - I): eigenvalue

@@ -11,7 +11,7 @@ byte-identical over the corpus, so an output change shows up as a diff:
     PYTHONPATH=new/src python3 tools/cli_digest.py > new.txt
     diff old.txt new.txt
 
-The corpus (5,021 calls, about 4 s on one core):
+The corpus (5,054 calls, about 4 s on one core):
 
 - ``check`` in text, JSON and CSV, with ``--t 2|3`` and ``--k`` at the
   true k and k +- 1, ``check --variant theta-plus-one`` at the true k,
@@ -31,6 +31,11 @@ The corpus (5,021 calls, about 4 s on one core):
 - ``check`` and ``spectrum`` on JSON inputs whose n is 3.0, true, NaN or
   1e400, or whose vertex is 0.5, and ``verify bounds|orderings`` with
   ``--budget -1``;
+- ``check`` (JSON at k = 2, text at k = 3) and ``spectrum`` on files with
+  CRLF or lone-CR line ends (a CRLF JSON file among them with a syntax
+  error on line 4), with a UTF-8 byte order mark, with vertices written
+  as ``1_0`` or in fullwidth or Arabic-Indic digits, and with signed
+  vertices under a non-ASCII comment;
 - ``verify orderings|extremal|bounds`` and ``enumerate`` on the acceptance
   grid, and ``verify bounds --variant theta-plus-one``, in every format;
 - ``gen`` for every family head, for rings with a wrap-around edge and
@@ -129,6 +134,30 @@ def non_integer_inputs() -> list[str]:
     return list(texts)
 
 
+def raw_inputs() -> list[str]:
+    """Inputs written byte for byte: CRLF and lone-CR line ends, a CRLF
+    JSON file with a syntax error on line 4, a UTF-8 byte order mark,
+    vertices written with digit separators or non-ASCII digits, and a
+    non-ASCII comment beside signed vertices."""
+    raw = {
+        "crlf.txt": "4\r\n0 1 2\r\n# note\r\n0 1 3\r\n",
+        "cr.txt": "4\r0 1 2\r\r0 1 3\r",
+        "crlf.json": '{\r\n  "n": 4,\r\n  "edges": [[0, 1, 2],\r\n  ]\r\n}\r\n',
+        "crlf-ok.json": '{"n": 4,\r\n"edges": [[0, 1, 2], [0, 1, 3]]}\r\n',
+        "bom.txt": "\ufeff4\n0 1 2\n",
+        "bom.json": '\ufeff{"n": 4, "edges": [[0, 1, 2]]}\n',
+        "underscore.txt": "12\n0 1_0\n",
+        "underscore-n.txt": "1_2\n0 1\n",
+        "fullwidth.txt": "4\n0 \uff13\n",
+        "arabic-indic.txt": "4\n0 \u0663\n",
+        "signed.txt": "4\n# caf\u00e9 \uff13\n+0 1 +2\n-0 1 3\n",
+    }
+    for name, text in raw.items():
+        with open(name, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+    return list(raw)
+
+
 def corpus(rng: random.Random) -> list[list[str]]:
     calls = []
     for path, k in random_inputs(rng):
@@ -159,6 +188,10 @@ def corpus(rng: random.Random) -> list[list[str]]:
         calls.append(["complement", path, "--k", "3"])
     for path in non_integer_inputs():
         calls.append(["check", path, "--k", "2", "--format", "json"])
+        calls.append(["spectrum", path])
+    for path in raw_inputs():
+        calls.append(["check", path, "--k", "2", "--format", "json"])
+        calls.append(["check", path, "--k", "3"])
         calls.append(["spectrum", path])
     for suite in ("bounds", "orderings"):
         calls.append(["verify", suite, "--budget", "-1"])
