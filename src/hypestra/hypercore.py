@@ -283,6 +283,8 @@ def from_text(text: str) -> Hypergraph:
         if not line or line.startswith("#"):
             continue
         try:
+            if not line.isascii() or "_" in line:  # int() reads "1_0" and every script's digits
+                raise ValueError
             values = [int(tok) for tok in line.split()]
         except ValueError:
             raise ParseError(f"line {lineno}: expected integers, got {raw!r}") from None

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -315,10 +316,27 @@ class TestSerialization:
     def test_text_comments_and_blanks(self):
         text = "# a comment\n\n4\n0 1 2\n# another\n0 1 3\n"
         assert from_text(text) == cycle(2, 3)
+        # signs are read, and a comment may hold any text
+        assert from_text("# caf\u00e9 \uff13 \u0663 1_0\n4\n+0 1 +2\n-0 1 3\n") == cycle(2, 3)
 
     def test_text_bad_token_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
             from_text("3\n0 x 2\n")
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("12\n0 1_0\n", 2),  # int() reads 1_0 as 10
+            ("1_2\n0 1\n", 1),
+            ("4\n0 \uff13\n", 2),  # fullwidth three
+            ("4\n0 \u0663\n", 2),  # Arabic-Indic three
+        ],
+        ids=["underscore", "underscore-count", "fullwidth", "arabic-indic"],
+    )
+    def test_text_rejects_non_ascii_decimals(self, text, lineno):
+        raw = text.splitlines()[lineno - 1]
+        with pytest.raises(ParseError, match=re.escape(f"line {lineno}: expected integers, got {raw!r}")):
+            from_text(text)
 
     def test_text_missing_header(self):
         with pytest.raises(ParseError, match="vertex count"):
