@@ -209,17 +209,29 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _json_inputs(inputs: dict) -> str:
+    """``_json_value`` of a bound report's inputs, from one fixed layout when
+    they are n, m, k and t, in that order."""
+    if tuple(inputs) != ("n", "m", "k", "t"):
+        return _json_value(inputs, "\n    ")
+    (n, m, k, t), w = inputs.values(), _JSON_SCALARS
+    return (
+        f'{{\n      "n": {w[type(n)](n)},\n      "m": {w[type(m)](m)},'
+        f'\n      "k": {w[type(k)](k)},\n      "t": {w[type(t)](t)}\n    }}'
+    )
+
+
 def _render_bound_reports(reports, fmt: str) -> str:
     if fmt == "json":
         # _json_text([vars(r) for r in reports]) from one layout in BoundReport's field order: each
-        # value through the writer's table for its field's type, inputs and extra through _json_value
+        # scalar through the writer's table for its field's type, the two dicts at their depth
         text, real, truth = _JSON_SCALARS[str], _JSON_SCALARS[float], _JSON_SCALARS[bool]
         nested = "\n    "
         items = ",\n  ".join([
             f'{{\n    "bound_id": {text(r.bound_id)},\n    "lhs": {real(r.lhs)},'
             f'\n    "rhs": {real(r.rhs)},\n    "slack": {real(r.slack)},'
             f'\n    "holds": {truth(r.holds)},\n    "equality": {truth(r.equality)},'
-            f'\n    "inputs": {_json_value(r.inputs, nested)},'
+            f'\n    "inputs": {_json_inputs(r.inputs)},'
             f'\n    "extra": {_json_value(r.extra, nested)}\n  }}'
             for r in reports
         ])

@@ -261,10 +261,6 @@ def diameter(h: Hypergraph) -> int:
 
 
 # --- file formats ----------------------------------------------------------
-#
-# Text: first significant line is n; every following significant line is one
-# edge as whitespace-separated vertex indices; '#' starts a comment line.
-# JSON: {"n": <int>, "edges": [[...], ...]} with sorted inner lists.
 
 
 def to_text(h: Hypergraph) -> str:
@@ -275,15 +271,19 @@ def to_text(h: Hypergraph) -> str:
 
 
 def from_text(text: str) -> Hypergraph:
-    """Parse the text format, reporting the offending line on errors."""
+    """Parse the text format, naming the offending line on errors.  Lines
+    end at "\n" alone, and a line that is not a '#' comment holds vertices
+    in printable ASCII separated by spaces or tabs."""
     n = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip(" \t")
         if not line or line.startswith("#"):
             continue
         try:
-            if not line.isascii() or "_" in line:  # int() reads "1_0" and every script's digits
+            # int() reads "1_0" and every script's digits, and str.split()
+            # also breaks at the control characters \x0b, \x0c and \x1c-\x1f
+            if not line.isascii() or "_" in line or not line.replace("\t", " ").isprintable():
                 raise ValueError
             values = [int(tok) for tok in line.split()]
         except ValueError:

@@ -57,7 +57,7 @@ class CharacterizationMismatchError(RuntimeError):
     structure), which this error surfaces rather than hides."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class BoundReport:
     """Outcome of one bound check.
 
@@ -88,24 +88,17 @@ def _report(
     extra: dict | None = None,
     slack: int | float | None = None,
 ) -> BoundReport:
-    """A slack passed in is computed without cancellation, and decides
-    holds/equality alone; ``_compare`` of an int slack with 0 is exact."""
-    if claim not in ("le", "ge"):
-        raise ValueError(f"claim must be 'le' or 'ge', got {claim!r}")
+    """claim is "le" (lhs <= rhs) or "ge".  A slack passed in is computed
+    without cancellation, and decides holds/equality alone; ``_compare``
+    of an int slack with 0 is exact."""
     big, small = (rhs, lhs) if claim == "le" else (lhs, rhs)
     if slack is None:
         slack, sign = big - small, _compare(big, small)
     else:
         sign = _compare(slack, 0.0)
+    extra = {"claim": claim, **extra} if extra else {"claim": claim}
     return BoundReport(
-        bound_id=bound_id,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        slack=float(slack),
-        holds=sign >= 0,
-        equality=sign == 0,
-        inputs=inputs,
-        extra={"claim": claim, **(extra or {})},
+        bound_id, float(lhs), float(rhs), float(slack), sign >= 0, sign == 0, inputs, extra
     )
 
 
@@ -131,31 +124,46 @@ def _sum_largest(bound_id, spectrum, theta, t, variant, rhs_of, inputs, extra) -
     negative count and core = (theta + sqrt(theta*(t*theta + t - 1))) / den."""
     lhs = float(spectrum.eigenvalues[:t].sum())
     top = theta + math.sqrt(theta * (t * theta + t - 1))
-    rhs_by_variant = {
-        AS_WRITTEN: rhs_of(theta, top / (2 * theta + 1)),
-        THETA_PLUS_ONE: rhs_of(theta, top / (2 * (theta + 1))),
-    }
-    tighter = _compare(rhs_by_variant[AS_WRITTEN], rhs_by_variant[THETA_PLUS_ONE]) > 0
+    as_written = rhs_of(theta, top / (2 * theta + 1))
+    plus_one = rhs_of(theta, top / (2 * (theta + 1)))
     extra = {
         "variant": variant,
         "theta": theta,
         **extra,
-        "rhs_as_written": rhs_by_variant[AS_WRITTEN],
-        "rhs_theta_plus_one": rhs_by_variant[THETA_PLUS_ONE],
-        "tighter_variant": THETA_PLUS_ONE if tighter else "tie",
+        "rhs_as_written": as_written,
+        "rhs_theta_plus_one": plus_one,
+        "tighter_variant": THETA_PLUS_ONE if _compare(as_written, plus_one) > 0 else "tie",
     }
-    return _report(bound_id, lhs, rhs_by_variant[variant], "le", inputs, extra)
+    rhs = {AS_WRITTEN: as_written, THETA_PLUS_ONE: plus_one}[variant]
+    return _report(bound_id, lhs, rhs, "le", inputs, extra)
+
+
+class _fact:
+    """A fact of ``_Facts``, computed when first read and a plain attribute
+    from then on: ``functools.cached_property`` without the lock it takes
+    on every first read before Python 3.12."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, facts, owner):
+        if facts is None:
+            return self
+        value = facts.__dict__[self.name] = self.compute(facts)
+        return value
 
 
 class _Facts:
     """The facts of one hypergraph h that its bounds read, and the bounds.
 
-    n and m are read off h.  Every other fact x is computed once, by _x,
-    when a bound first reads it, so an error (non-uniform input, an
-    Estrada sum past double precision) raises at the first bound that
-    needs the fact, in the order the bounds run.  A spectrum solved
-    beforehand is set like a plain attribute, and is then not solved again.
-    The memo takes no lock, as ``functools.cached_property`` does before 3.12.
+    n and m are read off h.  Every other fact is computed once, when a
+    bound first reads it, so an error (non-uniform input, an Estrada sum
+    past double precision) raises at the first bound that needs the fact,
+    in the order the bounds run.  A spectrum solved beforehand is set like
+    a plain attribute, and is then not solved again.
     """
 
     def __init__(self, h: Hypergraph, k: int | None, spectrum: Spectrum | None = None):
@@ -163,44 +171,22 @@ class _Facts:
         if spectrum is not None:
             self.spectrum = spectrum
 
-    def __getattr__(self, name):  # only reached while x is not yet set
-        value = self.__dict__[name] = getattr(_Facts, "_" + name)(self)
-        return value
-
-    def _k(self) -> int | None:
-        return _resolve_k(self.h, self.requested_k)
+    k = _fact(lambda f: _resolve_k(f.h, f.requested_k))
+    spectrum = _fact(lambda f: spectrum_of(f.h))
+    theta = _fact(lambda f: negative_count(f.spectrum))
+    ee = _fact(lambda f: estrada_index(f.spectrum))
+    #: tr A^2, the sum of the squared entries of the symmetric A, in ints
+    moment2 = _fact(lambda f: sum([x * x for x in f.spectrum.matrix.ravel().tolist()]))
+    #: (k-1)m(m(k-2)+2), the upper bound on the second moment
+    moment2_upper = _fact(lambda f: 0 if f.m == 0 else (f.k - 1) * f.m * (f.m * (f.k - 2) + 2))
+    root = _fact(lambda f: math.sqrt(f.moment2_upper))
+    #: the spectrum of the k-uniform complement
+    complement = _fact(lambda f: eigendecompose(_complement_adjacency(f.spectrum.matrix, f.k)))
+    ee_complement = _fact(lambda f: estrada_index(f.complement))
 
     @property
     def inputs(self) -> dict:
         return {"n": self.n, "m": self.m, "k": self.k, "t": None}
-
-    def _spectrum(self) -> Spectrum:
-        return spectrum_of(self.h)
-
-    def _theta(self) -> int:
-        return negative_count(self.spectrum)
-
-    def _ee(self) -> float:
-        return estrada_index(self.spectrum)
-
-    def _moment2(self) -> int:
-        """tr A^2 = sum of the squared entries of the symmetric A, in ints."""
-        return sum([x * x for x in self.spectrum.matrix.ravel().tolist()])
-
-    def _moment2_upper(self) -> int:
-        """(k-1)m(m(k-2)+2), the upper bound on the second moment."""
-        m, k = self.m, self.k
-        return 0 if m == 0 else (k - 1) * m * (m * (k - 2) + 2)
-
-    def _root(self) -> float:
-        return math.sqrt(self.moment2_upper)
-
-    def _complement(self) -> Spectrum:
-        """Spectrum of the k-uniform complement."""
-        return eigendecompose(_complement_adjacency(self.spectrum.matrix, self.k))
-
-    def _ee_complement(self) -> float:
-        return estrada_index(self.complement)
 
     # --- the bounds, one per public checker ---
 
@@ -208,7 +194,7 @@ class _Facts:
         n = self.n
         if not 2 <= t <= n:
             raise HypergraphError(f"need 2 <= t <= n, got t={t}, n={n}")
-        inputs = {**self.inputs, "t": t}
+        inputs = {"n": n, "m": self.m, "k": self.k, "t": t}
         # with no negative eigenvalue the bound is 0, and k may be unknown
         return _sum_largest(
             "cor3.2-sum-largest",
@@ -468,8 +454,8 @@ def classify_two_eigenvalue(
 
 
 def _first_missing_edge(h: Hypergraph, k: int) -> tuple[int, ...] | None:
-    present = set(h.edges)
-    return next((e for e in combinations(range(h.n), k) if e not in present), None)
+    subsets = combinations(range(h.n), k)  # in the lexicographic order of h.edges
+    return next((s for e, s in zip(h.edges, subsets) if e != s), None) or next(subsets, None)
 
 
 def check_all_bounds(

@@ -338,6 +338,31 @@ class TestSerialization:
         with pytest.raises(ParseError, match=re.escape(f"line {lineno}: expected integers, got {raw!r}")):
             from_text(text)
 
+    @pytest.mark.parametrize(
+        "char", ["\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x7f", "\r"],
+        ids=["nul", "vt", "ff", "fs", "gs", "rs", "us", "del", "cr"],
+    )
+    def test_text_rejects_control_characters(self, char):
+        # str.split() read "0\x1f1 2" as the edge (0, 1, 2)
+        raw = f"0{char}1 2"
+        with pytest.raises(ParseError, match=re.escape(f"line 2: expected integers, got {raw!r}")):
+            from_text(f"4\n{raw}\n")
+
+    def test_text_tabs_separate_tokens(self):
+        assert from_text("4\n\t0\t1 2 \n0 1\t3\n") == cycle(2, 3)
+
+    def test_text_comment_is_one_line(self):
+        # str.splitlines() broke the comment at \x0c and read an edge after it
+        assert from_text("4\n# a\x0c0 1 2\n") == Hypergraph(4, [])
+
+    def test_text_error_names_its_own_line(self):
+        # a \x0c in a comment made the bad token's line 3 read as line 4
+        with pytest.raises(ParseError, match="^line 3: expected integers, got '0 x 3'$"):
+            from_text("4\n# a\x0c b\n0 x 3\n")
+        raw = "0 1 2\x0c"
+        with pytest.raises(ParseError, match=re.escape(f"line 2: expected integers, got {raw!r}")):
+            from_text(f"4\n{raw}\n0 x 3\n")
+
     def test_text_missing_header(self):
         with pytest.raises(ParseError, match="vertex count"):
             from_text("# nothing\n")

@@ -51,6 +51,7 @@ from hypestra.hypercore import uniformity
 from hypestra.spectral import negative_count, spectral_moment
 
 from conftest import criterion_3_sample, family_fixtures
+from oracles import bound_facts
 
 GOLDEN = 1 + math.sqrt(5)
 
@@ -607,6 +608,34 @@ class TestCheckAllBoundsFloor:
             assert reports["thm2.12-moment-upper"].lhs == float(m2), (h.n, h.m)
             assert reports["thm2.12-moment-lower"].rhs == float(m2), (h.n, h.m)
             assert isinstance(m2, int)
+
+
+class TestBoundFactsAgainstOracle:
+    """The spectral facts in check_all_bounds' reports are bitwise those
+    that tests/oracles.bound_facts reads off numpy's solver: numpy sums for
+    the t largest eigenvalues and the energy, a left-to-right exp sum for
+    each Estrada index.  At t >= 8 a sum in another order gives other bits."""
+
+    def test_bitwise_equal(self):
+        checked = 0
+        for h in criterion_3_sample():
+            if h.n < 9:
+                continue
+            k = uniformity(h)
+            for t in sorted({2, 8, h.n}):
+                want = bound_facts(h, k, t)
+                reports = {r.bound_id: r for r in check_all_bounds(h, k, t)}
+                for bound_id in ("cor3.2-sum-largest", "thm3.1-sum-largest"):
+                    assert reports[bound_id].lhs == want["sum_largest"], (h, t, bound_id)
+                    assert reports[bound_id].extra["theta"] == want["theta"], (h, t, bound_id)
+                for bound_id in ("thm4.3-ee-upper-energy", "rem4.4-ee-upper-energy"):
+                    assert reports[bound_id].extra["energy"] == want["energy"], (h, t, bound_id)
+                ng = reports["thm4.5-nordhaus-gaddum"].extra
+                assert (ng["ee"], ng["ee_complement"]) == (want["ee"], want["ee_complement"]), h
+                probe = reports.get("ee-monotonicity")
+                assert (None if probe is None else probe.rhs) == want["ee_probe"], h
+                checked += 1
+        assert checked == 1266
 
 
 #: a 2-uniform ring plus one 3-edge

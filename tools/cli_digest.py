@@ -11,7 +11,7 @@ byte-identical over the corpus, so an output change shows up as a diff:
     PYTHONPATH=new/src python3 tools/cli_digest.py > new.txt
     diff old.txt new.txt
 
-The corpus (5,054 calls, about 4 s on one core):
+The corpus (5,324 calls, about 4 s on one core):
 
 - ``check`` in text, JSON and CSV, with ``--t 2|3`` and ``--k`` at the
   true k and k +- 1, ``check --variant theta-plus-one`` at the true k,
@@ -19,6 +19,9 @@ The corpus (5,054 calls, about 4 s on one core):
   (k in {2, 3, 4}, n <= 12, edgeless and complete ones among them) and
   on 3-uniform inputs at n = 24, 40 and 64 with m = 2n, and
   ``complement --k 3`` of those three (up to 41,536 edges);
+- ``check --format json`` with ``--t 8``, ``--t n`` and ``--variant
+  theta-plus-one --t n`` on those of the inputs with n >= 9, so that 8
+  or more eigenvalues are summed;
 - ``check`` on n = 100, k = 51 inputs whose errors compete for the one
   line on stderr;
 - ``check --format json`` on the complete 3-uniform hypergraphs of order
@@ -34,8 +37,9 @@ The corpus (5,054 calls, about 4 s on one core):
 - ``check`` (JSON at k = 2, text at k = 3) and ``spectrum`` on files with
   CRLF or lone-CR line ends (a CRLF JSON file among them with a syntax
   error on line 4), with a UTF-8 byte order mark, with vertices written
-  as ``1_0`` or in fullwidth or Arabic-Indic digits, and with signed
-  vertices under a non-ASCII comment;
+  as ``1_0`` or in fullwidth or Arabic-Indic digits, with signed
+  vertices under a non-ASCII comment, with ASCII control characters in
+  data lines and in comments, and with tabs between vertices;
 - ``verify orderings|extremal|bounds`` and ``enumerate`` on the acceptance
   grid, and ``verify bounds --variant theta-plus-one``, in every format;
 - ``gen`` for every family head, for rings with a wrap-around edge and
@@ -75,27 +79,27 @@ def write_input(name: str, n: int, edges) -> str:
     return name
 
 
-def random_inputs(rng: random.Random) -> list[tuple[str, int]]:
-    """(file, k) for 200 small inputs (the edgeless and the complete one
+def random_inputs(rng: random.Random) -> list[tuple[str, int, int]]:
+    """(file, n, k) for 200 small inputs (the edgeless and the complete one
     at n = k and k + 2 for each k, the rest seeded random), then the
     three large 3-uniform ones."""
     out = []
     for k in (2, 3, 4):
         for n in (k, k + 2):
-            out.append((write_input(f"edgeless-{n}-{k}.txt", n, []), k))
+            out.append((write_input(f"edgeless-{n}-{k}.txt", n, []), n, k))
             full = list(combinations(range(n), k))
-            out.append((write_input(f"complete-{n}-{k}.json", n, full), k))
+            out.append((write_input(f"complete-{n}-{k}.json", n, full), n, k))
     for i in range(200 - len(out)):
         k = rng.choice((2, 3, 4))
         n = rng.randint(k, 12)
         pool = list(combinations(range(n), k))
         edges = rng.sample(pool, rng.randint(0, len(pool)))
-        out.append((write_input(f"r{i:03d}.{('txt', 'json')[i % 2]}", n, edges), k))
+        out.append((write_input(f"r{i:03d}.{('txt', 'json')[i % 2]}", n, edges), n, k))
     for n in (24, 40, 64):
         edges = set()
         while len(edges) < 2 * n:
             edges.add(tuple(sorted(rng.sample(range(n), 3))))
-        out.append((write_input(f"scale-{n}.txt", n, edges), 3))
+        out.append((write_input(f"scale-{n}.txt", n, edges), n, 3))
     return out
 
 
@@ -137,8 +141,9 @@ def non_integer_inputs() -> list[str]:
 def raw_inputs() -> list[str]:
     """Inputs written byte for byte: CRLF and lone-CR line ends, a CRLF
     JSON file with a syntax error on line 4, a UTF-8 byte order mark,
-    vertices written with digit separators or non-ASCII digits, and a
-    non-ASCII comment beside signed vertices."""
+    vertices written with digit separators or non-ASCII digits, a
+    non-ASCII comment beside signed vertices, ASCII control characters
+    in data lines and in comments, and tabs between vertices."""
     raw = {
         "crlf.txt": "4\r\n0 1 2\r\n# note\r\n0 1 3\r\n",
         "cr.txt": "4\r0 1 2\r\r0 1 3\r",
@@ -151,6 +156,12 @@ def raw_inputs() -> list[str]:
         "fullwidth.txt": "4\n0 \uff13\n",
         "arabic-indic.txt": "4\n0 \u0663\n",
         "signed.txt": "4\n# caf\u00e9 \uff13\n+0 1 +2\n-0 1 3\n",
+        "unit-separator.txt": "4\n0\x1f1 2\n",
+        "form-feed.txt": "4\n0 1 2\x0c\n0 1 3\n",
+        "form-feed-comment.txt": "4\n# a\x0c0 1 2\n0 1 3\n",
+        "form-feed-then-error.txt": "4\n# a\x0c b\n0 x 3\n",
+        "vertical-tab.txt": "4\n\x0b0 1 2\n",
+        "tabs.txt": "4\n\t0\t1 2\n0 1\t3 \n",
     }
     for name, text in raw.items():
         with open(name, "wb") as fh:
@@ -160,7 +171,7 @@ def raw_inputs() -> list[str]:
 
 def corpus(rng: random.Random) -> list[list[str]]:
     calls = []
-    for path, k in random_inputs(rng):
+    for path, n, k in random_inputs(rng):
         for kk in (k, k - 1, k + 1):
             for t in ("2", "3"):
                 for fmt in FORMATS:
@@ -169,6 +180,13 @@ def corpus(rng: random.Random) -> list[list[str]]:
             variant = ["--variant", THETA_PLUS_ONE, "--format", fmt]
             calls.append(["check", path, "--k", str(k), *variant])
             calls.append(["spectrum", path, "--smax", "8", "--format", fmt])
+        if n >= 9:
+            # 8 or more eigenvalues summed, where numpy's pairwise sum and a
+            # left-to-right sum give different bits
+            for t in ("8", str(n)):
+                calls.append(["check", path, "--k", str(k), "--t", t, "--format", "json"])
+            variant = ["--variant", THETA_PLUS_ONE, "--format", "json"]
+            calls.append(["check", path, "--k", str(k), "--t", str(n), *variant])
     for n in (24, 40, 64):
         calls.append(["complement", f"scale-{n}.txt", "--k", "3"])
     for k, orders in ((3, range(7, 17)), (4, range(6, 11))):
