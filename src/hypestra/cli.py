@@ -33,7 +33,16 @@ from .hypercore import (
     to_text,
     write_file,
 )
-from .spectral import _compare, estrada_index, spectra_of, spectrum_of, summarize
+from .spectral import (
+    _compare,
+    _walk_diagonals,
+    distinct_eigenvalues,
+    energy,
+    estrada_index,
+    negative_count,
+    spectra_of,
+    spectrum_of,
+)
 
 _INPUT_ERRORS = (HypergraphError, fam.FamilyGrammarError, OverflowError, OSError)
 
@@ -179,20 +188,22 @@ def cmd_spectrum(args) -> int:
     if args.format == "csv":
         _emit(csv_text("eigenvalue", ([v] for v in eigenvalues)), args.out)
         return 0
-    s = summarize(spectrum, walk_max=args.smax)
+    # moments 0..8 and the closed walks of lengths 1..smax from one exact pass
+    diagonals = _walk_diagonals(spectrum.matrix, max(8, args.smax))
+    walks = [list(row) for row in zip(*diagonals[: args.smax])]
     summary = {
         "n": h.n,
-        "lambda1": _rounded(s.lambda1),
-        "estrada": _rounded(s.estrada),
-        "energy": _rounded(s.energy),
-        "negative_count": s.negative_count,
-        "distinct_count": s.distinct_count,
-        "moments": [mt if isinstance(mt, int) else _rounded(mt) for mt in s.moments],
+        "lambda1": _rounded(spectrum.lambda1),
+        "estrada": _rounded(estrada_index(spectrum)),
+        "energy": _rounded(energy(spectrum)),
+        "negative_count": negative_count(spectrum),
+        "distinct_count": len(distinct_eigenvalues(spectrum)),
+        "moments": [h.n, *map(sum, diagonals[:8])],
         "eigenvalues": [_rounded(v) for v in eigenvalues],
         "m": h.m,
     }
     if args.smax:
-        summary["closed_walks"] = {str(u): list(c) for u, c in enumerate(s.closed_walks)}
+        summary["closed_walks"] = {str(u): row for u, row in enumerate(walks)}
     if args.format == "json":
         _emit(_json_text(summary), args.out)
         return 0
@@ -200,10 +211,10 @@ def cmd_spectrum(args) -> int:
     lines += [f"eigenvalue {format_float(v)}" for v in summary["eigenvalues"]]
     for key in ("lambda1", "estrada", "energy"):
         lines.append(f"{key} {format_float(summary[key])}")
-    lines.append(f"negative_count {s.negative_count}")
-    lines.append(f"distinct_count {s.distinct_count}")
+    lines.append(f"negative_count {summary['negative_count']}")
+    lines.append(f"distinct_count {summary['distinct_count']}")
     lines += [f"moment {t} {v}" for t, v in enumerate(summary["moments"])]
-    for u, counts in enumerate(s.closed_walks):
+    for u, counts in enumerate(walks):
         lines.append(f"closed_walks {u} {' '.join(map(str, counts))}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

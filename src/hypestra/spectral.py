@@ -20,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .hypercore import Hypergraph, HypergraphError
+from .hypercore import Hypergraph
 
 #: exp overflows double precision just above this exponent
 _EXP_OVERFLOW = 709.0
@@ -73,21 +73,6 @@ class Spectrum:
     @property
     def lambda1(self) -> float:
         return float(self.eigenvalues[0]) if self.n else 0.0
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """The headline spectrum statistics in one bundle; moments are exact
-    integers for an integer source matrix.  ``closed_walks[u]`` holds the
-    closed walk counts at vertex u for lengths 1, 2, ... when requested."""
-
-    lambda1: float
-    estrada: float
-    energy: float
-    negative_count: int
-    distinct_count: int
-    moments: tuple[int | float, ...]
-    closed_walks: tuple[tuple[int, ...], ...] = ()
 
 
 def _adjacency_stack(hs: list[Hypergraph], n: int) -> np.ndarray:
@@ -208,30 +193,15 @@ def spectra_of(hypergraphs) -> list[Spectrum]:
     return out
 
 
-def _moments(
-    spectrum: Spectrum, t_max: int, walk_max: int = 0
-) -> tuple[list[int | float], list[list[int]]]:
-    """Moments 0..t_max, and each vertex's closed walk counts for lengths
-    1..walk_max.  For an integer source matrix both come from one exact
-    power pass; otherwise moments are sums of eigenvalue powers."""
-    if walk_max < 0:
-        raise HypergraphError(f"s_max must be >= 0, got {walk_max}")
-    if spectrum.matrix.dtype.kind != "i":
-        if walk_max:
-            raise ValueError("closed walk counts need an integer matrix")
-        return [float(np.sum(spectrum.eigenvalues**t)) for t in range(t_max + 1)], []
-    diagonals = _walk_diagonals(spectrum.matrix, max(t_max, walk_max))
-    moments = [spectrum.n] + [sum(d) for d in diagonals[:t_max]]
-    return moments, _by_vertex(diagonals[:walk_max])
-
-
 def spectral_moment(spectrum: Spectrum, t: int) -> int | float:
     """t-th spectral moment: the sum of eigenvalues raised to the t-th
-    power, which is tr(M^t).  Exact (a Python int) when the source matrix
-    is an integer matrix."""
+    power, which is tr(M^t).  Exact (a Python int, from ``trace_power``)
+    when the source matrix is an integer matrix."""
     if t < 0:
         raise ValueError(f"moment order must be >= 0, got {t}")
-    return _moments(spectrum, t)[0][t]
+    if spectrum.matrix.dtype.kind == "i":
+        return trace_power(spectrum.matrix, t)
+    return float(np.sum(spectrum.eigenvalues**t))
 
 
 def estrada_index(spectrum: Spectrum) -> float:
@@ -275,21 +245,6 @@ def distinct_eigenvalues(spectrum: Spectrum) -> list[tuple[float, int]]:
     return [(float(np.mean(c)), len(c)) for c in np.split(values, cuts)]
 
 
-def summarize(spectrum: Spectrum, max_moment: int = 8, walk_max: int = 0) -> SpectralSummary:
-    """Headline statistics plus moments 0..max_moment and, for a positive
-    walk_max, closed walk counts at every vertex for lengths 1..walk_max."""
-    moments, walks = _moments(spectrum, max_moment, walk_max)
-    return SpectralSummary(
-        lambda1=spectrum.lambda1,
-        estrada=estrada_index(spectrum),
-        energy=energy(spectrum),
-        negative_count=negative_count(spectrum),
-        distinct_count=len(distinct_eigenvalues(spectrum)),
-        moments=tuple(moments),
-        closed_walks=tuple(map(tuple, walks)),
-    )
-
-
 # --- exact integer walk machinery ------------------------------------------
 
 
@@ -314,10 +269,6 @@ def _walk_diagonals(matrix, s_max: int) -> list[list[int]]:
         half = powers[s // 2 - 1] * powers[(s + 1) // 2 - 1]
         diagonals.append(half.sum(axis=1).tolist())
     return diagonals
-
-
-def _by_vertex(diagonals: list[list[int]]) -> list[list[int]]:
-    return [list(row) for row in zip(*diagonals)]
 
 
 def trace_power(matrix, t: int) -> int:
@@ -354,4 +305,4 @@ def closed_walk_table(h: Hypergraph, s_max: int) -> list[list[int]]:
     one exact power pass: row u holds the counts at vertex u."""
     if s_max < 1:
         raise ValueError(f"s_max must be >= 1, got {s_max}")
-    return _by_vertex(_walk_diagonals(adjacency(h), s_max))
+    return [list(row) for row in zip(*_walk_diagonals(adjacency(h), s_max))]

@@ -13,6 +13,7 @@ import pytest
 
 from hypestra import (
     Hypergraph,
+    adjacency,
     build_family,
     cli,
     closed_walk_table,
@@ -20,6 +21,7 @@ from hypestra import (
     from_text,
     spectrum_of,
     to_text,
+    trace_power,
     unicyclic_cm,
 )
 from hypestra.theorems import BoundReport, check_all_bounds, verify_extremal
@@ -119,18 +121,24 @@ class TestSpectrum:
         assert "closed_walks 0 0 6 8" in out
 
     def test_walk_table_matches_per_vertex_counts(self, capsys, tmp_path):
+        # no walks, fewer walks than the 9 moments, and more walks than
+        # moments: both come from one exact pass
         for name, h, _ in family_fixtures():
             path = tmp_path / f"{name}.txt"
             path.write_text(to_text(h))
-            for smax in (6, 10):
+            moments = [trace_power(adjacency(h), t) for t in range(9)]
+            for smax in (0, 1, 3, 6, 10, 12):
                 argv = ("spectrum", str(path), "--smax", str(smax), "--format", "json")
                 code, out, _ = run(capsys, *argv)
                 assert code == 0, name
                 payload = json.loads(out)
+                assert payload["moments"] == moments, (name, smax)
+                if not smax:
+                    assert list(payload)[-1] == "m", name
+                    continue
                 assert list(payload)[-2:] == ["m", "closed_walks"], name
                 expected = {str(u): row for u, row in enumerate(closed_walk_table(h, smax))}
                 assert payload["closed_walks"] == expected, (name, smax)
-                assert len(payload["moments"]) == 9, name
 
     def test_exact_moments(self, capsys, tmp_path):
         path = tmp_path / "c23.txt"
@@ -599,10 +607,10 @@ class TestExitCodes:
         path = tmp_path / "c23.txt"
         run(capsys, "gen", "cycle:2,3", "--out", str(path))
 
-        def summarize(*args, **kwargs):
-            raise AssertionError("statistics computed for a rejected --smax")
+        def spectrum_of(*args, **kwargs):
+            raise AssertionError("spectrum solved for a rejected --smax")
 
-        monkeypatch.setattr(cli, "summarize", summarize)
+        monkeypatch.setattr(cli, "spectrum_of", spectrum_of)
         code, out, err = run(capsys, "spectrum", str(path), "--smax", "-1", "--format", fmt)
         assert (code, out, err) == (2, "", "error: s_max must be >= 0, got -1\n")
 

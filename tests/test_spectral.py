@@ -27,7 +27,6 @@ from hypestra import (
     spectral_moment,
     spectra_of,
     spectrum_of,
-    summarize,
     trace_power,
     unicyclic_cm,
     walk_count,
@@ -277,8 +276,9 @@ class TestSpectrumStatistics:
 
     def test_float_matrix_moments_from_eigenvalues(self):
         spectrum = eigendecompose(np.diag([1.5, -0.5]))
-        assert spectral_moment(spectrum, 2) == pytest.approx(2.5)
-        assert summarize(spectrum, 3).moments == pytest.approx((2, 1, 2.5, 3.25))
+        moments = [spectral_moment(spectrum, t) for t in range(4)]
+        assert moments == pytest.approx([2, 1, 2.5, 3.25])
+        assert all(type(mt) is float for mt in moments)
 
     def test_estrada_examples(self):
         assert estrada_index(spectrum_of(edgeless(5))) == pytest.approx(5.0, abs=1e-12)
@@ -304,8 +304,6 @@ class TestSpectrumStatistics:
         message = r"^estrada index overflows double precision \(lambda1=709\)$"
         with pytest.raises(OverflowError, match=message):
             estrada_index(spectrum)
-        with pytest.raises(OverflowError, match=message):
-            summarize(spectrum)
 
     def test_estrada_finite_sum_near_the_edge(self):
         spectrum = eigendecompose(np.diag([709.0, 709.0]))
@@ -380,14 +378,17 @@ class TestSpectrumStatistics:
             assert clusters[0][1] == 1, name
             assert spectrum.lambda1 >= abs(float(spectrum.eigenvalues[-1])) - 1e-9, name
 
-    def test_summary_consistency(self):
+    def test_summary_consistency(self, capsys, tmp_path):
+        path = str(tmp_path / "c23.txt")
+        write_file(cycle(2, 3), path)
+        assert cli.main(["spectrum", path, "--format", "json"]) == 0
+        s = json.loads(capsys.readouterr().out)
         spectrum = spectrum_of(cycle(2, 3))
-        s = summarize(spectrum)
-        assert s.lambda1 == pytest.approx(GOLDEN, abs=1e-10)
-        assert s.negative_count == 2
-        assert s.distinct_count == 4
-        assert len(s.moments) == 9
-        assert s.estrada == pytest.approx(sum(math.exp(v) for v in spectrum.eigenvalues))
+        assert s["lambda1"] == pytest.approx(GOLDEN, abs=1e-10)
+        assert s["negative_count"] == 2
+        assert s["distinct_count"] == 4
+        assert len(s["moments"]) == 9
+        assert s["estrada"] == pytest.approx(sum(math.exp(v) for v in spectrum.eigenvalues))
 
 
 class TestWalks:
@@ -450,20 +451,26 @@ class TestWalks:
             for s in range(1, 4):
                 power = power @ a
                 reference.append(list(power.diagonal()))
-            spectrum = spectrum_of(h)
             for s_max in (1, 2, 3):
                 expected = [list(row) for row in zip(*reference[:s_max])]
                 assert closed_walk_table(h, s_max) == expected, (name, s_max)
-                walks = summarize(spectrum, s_max, s_max).closed_walks
-                assert [list(row) for row in walks] == expected, (name, s_max)
-                moments = summarize(spectrum, s_max).moments
-                assert moments == (h.n, *map(sum, reference[:s_max])), (name, s_max)
+                diagonals = spectral._walk_diagonals(adjacency(h), s_max)
+                assert diagonals == reference[:s_max], (name, s_max)
 
-    def test_orders_zero_and_one(self):
+    def test_orders_zero_and_one(self, capsys, tmp_path):
         for n in (0, 1):
-            s = summarize(spectrum_of(edgeless(n)), 8, 3)
-            assert s.moments == (n, 0, 0, 0, 0, 0, 0, 0, 0), n
-            assert s.closed_walks == ((0, 0, 0),) * n, n
+            path = str(tmp_path / f"order-{n}.txt")
+            write_file(edgeless(n), path)
+            assert cli.main(["spectrum", path, "--smax", "3", "--format", "json"]) == 0
+            s = json.loads(capsys.readouterr().out)
+            assert s["moments"] == [n, 0, 0, 0, 0, 0, 0, 0, 0], n
+            assert s["closed_walks"] == {str(u): [0, 0, 0] for u in range(n)}, n
+            assert cli.main(["spectrum", path, "--smax", "3"]) == 0
+            moment_lines = [f"moment {t} {n if t == 0 else 0}" for t in range(9)]
+            walk_lines = [f"closed_walks {u} 0 0 0" for u in range(n)]
+            assert capsys.readouterr().out.splitlines()[-9 - n :] == moment_lines + walk_lines, n
+            moments = [spectral_moment(spectrum_of(edgeless(n)), t) for t in range(9)]
+            assert moments == [n, 0, 0, 0, 0, 0, 0, 0, 0], n
             assert closed_walk_table(edgeless(n), 3) == [[0, 0, 0]] * n, n
 
     def test_single_powers_take_logarithmic_products(self):
@@ -495,20 +502,6 @@ class TestWalks:
 
     def test_trace_power_accepts_integer_lists(self):
         assert trace_power([[1, 2], [3, 4]], 2) == 29
-
-    def test_summary_walks_share_the_moment_pass(self, small_fixtures):
-        for name, h, _ in small_fixtures:
-            spectrum = spectrum_of(h)
-            for walk_max in (3, 12):
-                s = summarize(spectrum, 8, walk_max)
-                table = closed_walk_table(h, walk_max)
-                assert [list(row) for row in s.closed_walks] == table, (name, walk_max)
-                assert s.moments == tuple(trace_power(adjacency(h), t) for t in range(9)), name
-            assert summarize(spectrum).closed_walks == (), name
-        with pytest.raises(ValueError):
-            summarize(spectrum_of(cycle(2, 3)), 8, -1)
-        with pytest.raises(ValueError):
-            summarize(eigendecompose(np.diag([1.5, -0.5])), 2, 2)
 
     def test_closed_walk_table_matches_dfs_oracle(self, small_fixtures):
         for name, h, _ in small_fixtures:

@@ -11,7 +11,7 @@ byte-identical over the corpus, so an output change shows up as a diff:
     PYTHONPATH=new/src python3 tools/cli_digest.py > new.txt
     diff old.txt new.txt
 
-The corpus (5,324 calls, about 4 s on one core):
+The corpus (5,444 calls, about 4 s on one core):
 
 - ``check`` in text, JSON and CSV, with ``--t 2|3`` and ``--k`` at the
   true k and k +- 1, ``check --variant theta-plus-one`` at the true k,
@@ -116,6 +116,11 @@ def precedence_inputs(rng: random.Random) -> list[str]:
     ]
 
 
+def tiny_inputs() -> list[str]:
+    """Inputs of order 0 and 1, as text and as JSON."""
+    return [write_input(f"order-{n}.{ext}", n, []) for n in (0, 1) for ext in ("txt", "json")]
+
+
 def undecodable() -> str:
     """A text input whose bytes are not UTF-8."""
     with open("latin1.txt", "wb") as fh:
@@ -171,7 +176,8 @@ def raw_inputs() -> list[str]:
 
 def corpus(rng: random.Random) -> list[list[str]]:
     calls = []
-    for path, n, k in random_inputs(rng):
+    inputs = random_inputs(rng)
+    for path, n, k in inputs:
         for kk in (k, k - 1, k + 1):
             for t in ("2", "3"):
                 for fmt in FORMATS:
@@ -187,6 +193,11 @@ def corpus(rng: random.Random) -> list[list[str]]:
                 calls.append(["check", path, "--k", str(k), "--t", t, "--format", "json"])
             variant = ["--variant", THETA_PLUS_ONE, "--format", "json"]
             calls.append(["check", path, "--k", str(k), "--t", str(n), *variant])
+    # no walks, fewer walks than the 9 moments, and more walks than moments
+    for path in [path for path, _, _ in inputs[:16]] + tiny_inputs():
+        for smax in ("0", "3", "12"):
+            for fmt in ("text", "json"):
+                calls.append(["spectrum", path, "--smax", smax, "--format", fmt])
     for n in (24, 40, 64):
         calls.append(["complement", f"scale-{n}.txt", "--k", "3"])
     for k, orders in ((3, range(7, 17)), (4, range(6, 11))):
