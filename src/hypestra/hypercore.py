@@ -9,7 +9,7 @@ Hypergraphs are immutable; every operation returns a new value.
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
 import numpy as np
@@ -56,6 +56,23 @@ def _canonical_edge(n: int, e: Iterable[int]) -> Edge:
     return edge
 
 
+def _canonical_edges(n: int, edges: Iterable[Iterable[int]]) -> list[Edge]:
+    """``_canonical_edge`` of each edge, with numpy integers stored as int;
+    bools and other non-integer vertices are refused."""
+    try:
+        canon = [_canonical_edge(n, e) for e in edges]
+    except TypeError as exc:  # an edge is not iterable, or a vertex not comparable
+        raise HypergraphError(f"edges must be iterables of integers: {exc}") from None
+    # one type scan; the per-vertex path runs only when a non-int is present
+    if set(map(type, chain.from_iterable(canon))) - {int}:
+        for edge in canon:
+            for v in edge:
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    raise HypergraphError(f"edge {edge}: vertex {v!r} is not an integer")
+        canon = [tuple(map(int, e)) for e in canon]
+    return canon
+
+
 class Hypergraph:
     """A simple finite hypergraph on vertices ``0..n-1``.
 
@@ -83,7 +100,7 @@ class Hypergraph:
         n = int(n)
         if n < 0:
             raise HypergraphError(f"vertex count must be >= 0, got {n}")
-        canon = [_canonical_edge(n, e) for e in edges]
+        canon = _canonical_edges(n, edges)
         seen = set()
         for e in canon:
             if e in seen:
@@ -209,7 +226,7 @@ def extend_edge(h: Hypergraph, edge_index: int, v: int) -> Hypergraph:
 
 def add_edge(h: Hypergraph, e: Iterable[int]) -> Hypergraph:
     """Insert a new edge at its canonical position."""
-    edge = _canonical_edge(h.n, e)
+    (edge,) = _canonical_edges(h.n, [e])
     if edge in h.edges:
         raise DuplicateEdgeError(f"duplicate edge {edge}")
     return Hypergraph._trusted(h.n, tuple(sorted(h.edges + (edge,))))

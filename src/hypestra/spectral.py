@@ -130,7 +130,9 @@ def as_symmetric(matrix) -> np.ndarray:
     a = np.asarray(matrix)
     if a.dtype.kind == "c":
         raise ValueError("matrix entries must be real, got complex input")
-    a = a.astype(np.int64 if a.dtype.kind in "iub" else float, copy=False)
+    # unsigned entries past int64 would wrap, so they take the float path
+    wraps = a.dtype.kind == "u" and a.size and a.max() > np.iinfo(np.int64).max
+    a = a.astype(np.int64 if a.dtype.kind in "iub" and not wraps else float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.dtype.kind == "f" and not np.isfinite(a).all():

@@ -80,6 +80,30 @@ class TestConstruction:
         assert type(h.n) is int
         assert h == Hypergraph(3, [(0, 1)])
 
+    @pytest.mark.parametrize(
+        "edges", [[(0, 0.5), (1, 2)], [(0, 1.0, 2)], [(True, 2)], [(0, np.float64(1))]]
+    )
+    def test_vertices_must_be_integers(self, edges):
+        # adjacency would drop the edge (0, 0.5), and to_text would write
+        # "0 1.0 2", which from_text rejects; a bool is no vertex
+        with pytest.raises(HypergraphError, match="is not an integer"):
+            Hypergraph(3, edges)
+        with pytest.raises(HypergraphError, match="is not an integer"):
+            add_edge(Hypergraph(3, []), edges[0])
+
+    @pytest.mark.parametrize("edges", [[("a", 1)], [("a", "b")], [(0, None)], [5]])
+    def test_incomparable_vertices_raise_hypergraph_error(self, edges):
+        with pytest.raises(HypergraphError, match="edges must be iterables of integers"):
+            Hypergraph(3, edges)
+
+    def test_numpy_integer_vertices_are_stored_as_int(self):
+        h = Hypergraph(3, [(np.int64(2), np.int32(0)), (np.uint8(1), 2)])
+        assert h == Hypergraph(3, [(0, 2), (1, 2)])
+        assert {type(v) for e in h.edges for v in e} == {int}
+        assert from_json(to_json(h)) == h
+        g = add_edge(Hypergraph(3, []), (np.int64(1), 0))
+        assert g.edges == ((0, 1),) and type(g.edges[0][0]) is int
+
     def test_immutable(self):
         h = Hypergraph(3, [(0, 1)])
         with pytest.raises(AttributeError):

@@ -126,6 +126,17 @@ class TestAdjacency:
             eigendecompose(np.eye(2, dtype=complex))
 
 
+    def test_unsigned_entries_past_int64_do_not_wrap(self):
+        # an int64 cast would read 2**64 - 1 as -1, giving eigenvalues [1, -1]
+        big = 2**64 - 1
+        spectrum = eigendecompose(np.array([[0, big], [big, 0]], dtype=np.uint64))
+        assert spectrum.matrix.dtype == float
+        assert spectrum.eigenvalues.tolist() == [float(big), -float(big)]
+        small = eigendecompose(np.array([[0, 3], [3, 0]], dtype=np.uint64))
+        assert small.matrix.dtype == np.int64
+        assert spectral_moment(small, 2) == 18
+
+
 class TestStackedSpectra:
     """spectra_of solves same-order hypergraphs in stacks; every spectrum
     must be bitwise the one spectrum_of gives for that hypergraph alone."""

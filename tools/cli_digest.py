@@ -19,6 +19,9 @@ The corpus (5,444 calls, about 4 s on one core):
   (k in {2, 3, 4}, n <= 12, edgeless and complete ones among them) and
   on 3-uniform inputs at n = 24, 40 and 64 with m = 2n, and
   ``complement --k 3`` of those three (up to 41,536 edges);
+- ``spectrum --smax 0|3|12`` in text and JSON on 16 of the random
+  inputs and on text and JSON inputs of order 0 and 1: no walks, fewer
+  walks than the 9 moments, and more walks than moments;
 - ``check --format json`` with ``--t 8``, ``--t n`` and ``--variant
   theta-plus-one --t n`` on those of the inputs with n >= 9, so that 8
   or more eigenvalues are summed;
