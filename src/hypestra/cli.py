@@ -401,11 +401,8 @@ def _verify_bounds(args) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", ok
 
 
-_SUITES = {"extremal": _verify_extremal, "orderings": _verify_orderings, "bounds": _verify_bounds}
-
-
 def cmd_verify(args) -> int:
-    text, ok = _SUITES[args.suite](args)
+    text, ok = args.suite(args)
     _emit(text, args.out)
     return 0 if ok else 1
 
@@ -442,17 +439,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", **common_out)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=tuple(_SUITES))
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--nover", type=int, default=4, help="order divided by k-1 (extremal suite)")
-    p.add_argument("--budget", type=int, default=14,
-                   help="vertex budget (orderings) or instance count (bounds)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--variant", choices=th.VARIANTS, default=th.AS_WRITTEN)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--out", **common_out)
-    p.set_defaults(func=cmd_verify)
+    suites = sub.add_parser("verify", help="run a verification suite").add_subparsers(required=True)
+    extremal = suites.add_parser("extremal", help="rank the unicyclic catalog by Estrada index")
+    extremal.add_argument("--nover", type=int, default=4, help="order divided by k-1")
+    orderings = suites.add_parser("orderings", help="check the strict Estrada orderings")
+    orderings.add_argument("--budget", type=int, default=14, help="most vertices an instance may have")
+    bounds = suites.add_parser("bounds", help="run the bound catalog on seeded random hypergraphs")
+    bounds.add_argument("--budget", type=int, default=14, help="how many random instances to check")
+    bounds.add_argument("--seed", type=int, default=0)
+    bounds.add_argument("--variant", choices=th.VARIANTS, default=th.AS_WRITTEN)
+    for p, suite in ((extremal, _verify_extremal), (orderings, _verify_orderings), (bounds, _verify_bounds)):
+        p.add_argument("--k", type=int, default=3)
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--out", **common_out)
+        p.set_defaults(func=cmd_verify, suite=suite)
 
     p = sub.add_parser("enumerate", help="list the unicyclic catalog")
     p.add_argument("--nover", type=int, required=True)

@@ -396,6 +396,43 @@ class TestParser:
             cli.main(["verify", "extremal", "--smax", "8"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "suite,flag",
+        [
+            ("extremal", "--budget"), ("extremal", "--seed"), ("extremal", "--variant"),
+            ("orderings", "--nover"), ("orderings", "--seed"), ("orderings", "--variant"),
+            ("bounds", "--nover"),
+        ],
+    )
+    def test_verify_suite_rejects_other_suites_flags(self, capsys, suite, flag):
+        value = "theta-plus-one" if flag == "--variant" else "3"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", suite, "--k", "3", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+    def test_verify_flags_follow_the_suite(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--k", "3", "orderings"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("extremal", "--nover", "3"),
+            ("orderings", "--budget", "8"),
+            ("bounds", "--budget", "2", "--seed", "1", "--variant", "theta-plus-one"),
+        ],
+    )
+    def test_verify_suite_takes_each_of_its_flags(self, capsys, tmp_path, argv):
+        path = tmp_path / "out.csv"
+        code, out, err = run(capsys, "verify", *argv, "--k", "3", "--format", "csv", "--out", str(path))
+        assert (code, out, err) == (0, "", "")
+        assert path.read_text(encoding="utf-8").count("\n") >= 1
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
