@@ -179,17 +179,12 @@ def bibd_validate(h: Hypergraph) -> BIBDCertificate | None:
     covered = set(pair_counts.values())
     if len(pair_counts) != math.comb(h.n, 2) or len(covered) != 1:
         return None
+    # every pair is counted at least once, so beta >= 1; vertex v lies in
+    # deg(v)(k - 1) = beta(n - 1) covered pairs, so r divides out exactly
     beta = covered.pop()
-    if beta < 1:
-        return None
-    r_num = beta * (h.n - 1)
-    if r_num % (k - 1) != 0:
-        return None
-    r = r_num // (k - 1)
-    degs = degrees(h)
-    if not bool(np.all(degs == r)):
-        # balanced pair coverage forces the replication count; reaching
-        # here means the pair counting above is broken
+    r = beta * (h.n - 1) // (k - 1)
+    if not bool(np.all(degrees(h) == r)):
+        # reaching here means the pair counting above is broken
         raise AssertionError("pair-balanced design with unequal degrees")
     return BIBDCertificate(n=h.n, b=h.m, k=k, beta=beta, r=r)
 

@@ -162,11 +162,7 @@ def is_k_uniform(h: Hypergraph, k: int) -> bool:
 
 def degrees(h: Hypergraph) -> np.ndarray:
     """Vector of vertex degrees: entry v counts the edges containing v."""
-    d = np.zeros(h.n, dtype=np.int64)
-    for e in h.edges:
-        for v in e:
-            d[v] += 1
-    return d
+    return np.bincount(np.fromiter(chain.from_iterable(h.edges), np.int64), minlength=h.n)
 
 
 def complement_uniform(h: Hypergraph, k: int) -> Hypergraph:
