@@ -116,10 +116,11 @@ def format_float(x: float) -> str:
     """Render with 12 significant digits, locale independent.
 
     The integer test runs on the value rounded to those 12 digits, so a
-    float one ulp off an integer prints as that integer.
+    float one ulp off an integer prints as that integer, with no decimal
+    point at any size.
     """
     rounded = _rounded(x)
-    if rounded.is_integer() and abs(rounded) < 1e15:
+    if rounded.is_integer():
         return np.format_float_positional(
             rounded, precision=12, unique=False, fractional=False, trim="-"
         )
@@ -373,8 +374,8 @@ def _verify_bounds(args) -> tuple[str, bool]:
     if not 2 <= k <= 12:
         raise HypergraphError(f"need 2 <= k <= 12, got k={k}")
     count = args.budget
-    if count < 0:
-        raise HypergraphError(f"need budget >= 0, got budget={count}")
+    if count < 1:
+        raise HypergraphError(f"need budget >= 1, got budget={count}")
     failures = []
     for index in range(count):
         n = rng.randint(max(k, 3), 12)

@@ -631,7 +631,8 @@ def _monotonicity_sides(k: int, size_budget: int) -> list[_Sides]:
 
 def verify_ordering_lemmas(k: int, size_budget: int) -> list[OrderingReport]:
     """Strict Estrada-index orderings over every parameterization that
-    fits in ``size_budget`` total vertices.
+    fits in ``size_budget`` total vertices; a budget that fits no
+    instance (any below k + 1) raises ``HypergraphError``.
 
     Covers: pendant shifting toward one ring vertex on two-edge rings,
     pendant consolidation on three-edge rings, the three-edge-ring to
@@ -652,6 +653,8 @@ def verify_ordering_lemmas(k: int, size_budget: int) -> list[OrderingReport]:
         ("remark4.11-ring3-vs-gss", gss),
         ("ee-monotonicity", _monotonicity_sides(k, size_budget)),
     ]
+    if not any(sides for _, sides in lemmas):
+        raise HypergraphError(f"no ordering instance fits a size budget of {size_budget} at k={k}")
     # many sides recur across instances (a base shape with each added
     # edge, a middle shape on both sides of a chain): solve each distinct
     # hypergraph once, all of them in one stacked call

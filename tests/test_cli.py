@@ -552,12 +552,26 @@ class TestVerifyFormats:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (("bounds", "--budget", "-3"), "need budget >= 0, got budget=-3"),
+            (("bounds", "--budget", "-3"), "need budget >= 1, got budget=-3"),
             (("orderings", "--budget", "-1"), "ordering suites need a size budget >= 0, got -1"),
         ],
     )
     def test_negative_budget_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, "verify", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("bounds", "--budget", "0"), "need budget >= 1, got budget=0"),
+            (("orderings", "--budget", "0"), "no ordering instance fits a size budget of 0 at k=3"),
+            (("orderings", "--budget", "3"), "no ordering instance fits a size budget of 3 at k=3"),
+            (("orderings", "--k", "4", "--budget", "4"), "no ordering instance fits a size budget of 4 at k=4"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_suite_that_checks_nothing_exits_2(self, capsys, argv, message, fmt):
+        code, out, err = run(capsys, "verify", *argv, "--format", fmt)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("k", ["-1", "0", "1", "13"])

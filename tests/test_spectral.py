@@ -602,6 +602,28 @@ class TestExports:
         assert format_float(1524.0000000000002) == "1524"
         assert format_float(0.5 + 1e-15) == "0.500000000000"
 
+    @pytest.mark.parametrize(
+        "x,text",
+        [
+            (1e14, "100000000000000"),
+            (1e15, "1000000000000000"),
+            (999999999999999.0, "1000000000000000"),
+            (-1.5e16, "-15000000000000000"),
+            (1.73927494152e18, "1739274941520000000"),
+        ],
+    )
+    def test_format_float_integers_have_no_point_at_any_size(self, x, text):
+        assert format_float(x) == text
+
+    def test_large_estrada_prints_without_point(self, capsys, tmp_path):
+        h = complete_uniform(8, 3)
+        text = self._spectrum_cli(capsys, tmp_path, h, "text")
+        assert "estrada 1739274941520000000\n" in text
+        assert cli.main(["check", str(tmp_path / "h.txt"), "--k", "3", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert "ee-lower-spectral,8,56,,,1739274941520000000,1739274941520000000," in rows[2]
+        assert not any(cell.endswith(".") for row in rows for cell in row.split(","))
+
     @staticmethod
     def _spectrum_cli(capsys, tmp_path, h, fmt: str) -> str:
         path = str(tmp_path / "h.txt")

@@ -777,6 +777,13 @@ class TestOrderingSuites:
             assert report.instances, lemma_id
             assert report.all_strict, lemma_id
 
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_budget_below_k_plus_one_checks_nothing_and_raises(self, k):
+        for budget in (0, k):
+            with pytest.raises(HypergraphError, match=f"size budget of {budget} at k={k}"):
+                verify_ordering_lemmas(k, budget)
+        assert any(r.instances for r in verify_ordering_lemmas(k, k + 1))
+
     @pytest.mark.parametrize("k", [3, 4])
     def test_labels_rebuild_what_was_solved(self, k):
         rebuilt = 0
