@@ -11,7 +11,7 @@ byte-identical over the corpus, so an output change shows up as a diff:
     PYTHONPATH=new/src python3 tools/cli_digest.py > new.txt
     diff old.txt new.txt
 
-The corpus (5,444 calls, about 4 s on one core):
+The corpus (5,469 calls, about 4 s on one core):
 
 - ``check`` in text, JSON and CSV, with ``--t 2|3`` and ``--k`` at the
   true k and k +- 1, ``check --variant theta-plus-one`` at the true k,
@@ -30,13 +30,18 @@ The corpus (5,444 calls, about 4 s on one core):
 - ``check --format json`` on the complete 3-uniform hypergraphs of order
   7 to 16 and the complete 4-uniform ones of order 6 to 10, where the
   Estrada index dwarfs the ``ee-lower-spectral`` slack (order 16 exits on
-  the Estrada sum past double precision);
+  the Estrada sum past double precision), and ``spectrum`` and ``check``
+  in text and CSV on the complete 3-uniform ones of order 8 to 10, whose
+  values of 1e15 and more print without a decimal point;
 - ``check`` (also with ``--t 1``), ``spectrum`` (also with ``--smax -1``
   in every format) and ``complement`` on a small input, on a file that
   is not UTF-8 and on a missing file;
 - ``check`` and ``spectrum`` on JSON inputs whose n is 3.0, true, NaN or
   1e400, or whose vertex is 0.5, and ``verify bounds|orderings`` with
   ``--budget -1``;
+- ``verify`` suites that would check nothing (``bounds --budget 0``, and
+  ``orderings --budget 0|k`` at k = 3 and 4), each suite given a flag of
+  another suite, and a flag placed before the suite name;
 - ``check`` (JSON at k = 2, text at k = 3) and ``spectrum`` on files with
   CRLF or lone-CR line ends (a CRLF JSON file among them with a syntax
   error on line 4), with a UTF-8 byte order mark, with vertices written
@@ -207,6 +212,11 @@ def corpus(rng: random.Random) -> list[list[str]]:
         for n in orders:
             path = write_input(f"full-{n}-{k}.json", n, combinations(range(n), k))
             calls.append(["check", path, "--k", str(k), "--format", "json"])
+            if k == 3 and 8 <= n <= 10:
+                # values of 1e15 and more in text and CSV
+                for fmt in ("text", "csv"):
+                    calls.append(["spectrum", path, "--format", fmt])
+                    calls.append(["check", path, "--k", "3", "--format", fmt])
     for path in precedence_inputs(rng):
         calls.append(["check", path, "--k", "51", "--format", "json"])
         calls.append(["check", path, "--k", "51", "--t", "150"])
@@ -227,6 +237,21 @@ def corpus(rng: random.Random) -> list[list[str]]:
         calls.append(["spectrum", path])
     for suite in ("bounds", "orderings"):
         calls.append(["verify", suite, "--budget", "-1"])
+    # suites that would check nothing
+    calls.append(["verify", "bounds", "--budget", "0"])
+    for k in ("3", "4"):
+        for budget in ("0", k):
+            calls.append(["verify", "orderings", "--k", k, "--budget", budget])
+    # each suite with a flag of another suite, and a flag before the suite
+    foreign = {
+        "extremal": ("--budget", "--seed", "--variant"),
+        "orderings": ("--nover", "--seed", "--variant"),
+        "bounds": ("--nover",),
+    }
+    for suite, flags in foreign.items():
+        for flag in flags:
+            calls.append(["verify", suite, flag, THETA_PLUS_ONE if flag == "--variant" else "3"])
+    calls.append(["verify", "--k", "3", "orderings"])
     for fmt in FORMATS:
         for k in (3, 4):
             calls.append(["verify", "orderings", "--k", str(k), "--budget", "16", "--format", fmt])
