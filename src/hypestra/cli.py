@@ -409,8 +409,9 @@ def cmd_verify(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command line parser and each command's own parser by name,
+    built once per process."""
     parser = argparse.ArgumentParser(
         prog="hypestra",
         description="k-uniform hypergraph spectra, Estrada index and bound checking",
@@ -468,12 +469,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", **common_out)
     p.set_defaults(func=cmd_complement)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
+    return _parsers()[0]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        # the command's own parser reads what the top-level parser would hand it
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

@@ -596,8 +596,6 @@ def _lemma42_sides(k: int, size_budget: int) -> list[_Sides]:
     for s in range(2, size_budget // (k - 1) - 2 + 1):
         for n2 in range(1, s // 2 + 1):
             n1 = s - n2
-            if n1 < n2:
-                continue
             out.append(_pair(fam.cm_label(k, (n1, n2)), fam.cm_label(k, (n1 + 1, n2 - 1))))
     return out
 
@@ -642,8 +640,6 @@ def verify_ordering_lemmas(k: int, size_budget: int) -> list[OrderingReport]:
     """
     if k < 3:
         raise HypergraphError(f"ordering suites need k >= 3, got {k}")
-    if size_budget < 0:
-        raise HypergraphError(f"ordering suites need a size budget >= 0, got {size_budget}")
     gss = [_pair(f"cycle:3,{k}", f"gss:{k}")] if 3 * (k - 1) <= size_budget else []
     lemmas = [
         ("lemma2.6-ring-reduction", _lemma26_sides(k, size_budget)),

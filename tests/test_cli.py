@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -440,17 +441,52 @@ class TestParser:
 
     def test_parser_built_once(self, capsys, monkeypatch):
         parsers = []
-        parse_args = argparse.ArgumentParser.parse_args
+        parse_known_args = argparse.ArgumentParser.parse_known_args
 
         def spy(parser, *args, **kwargs):
             parsers.append(parser)
-            return parse_args(parser, *args, **kwargs)
+            return parse_known_args(parser, *args, **kwargs)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
         cli.main(["gen", "fano"])
         cli.main(["gen", "fano"])
+        # a known command goes straight to its own parser, the same object both times
         assert len(parsers) == 2
         assert parsers[0] is parsers[1]
+        assert parsers[0].prog == "hypestra gen"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["frobnicate"],
+            ["--k", "3", "check"],
+            ["check", "-h"],
+            ["check", "h.txt", "--k", "3", "--bogus", "x"],
+            ["gen", "fano", "extra"],
+            ["verify", "extremal", "extra", "--bogus"],
+            ["verify", "--k", "3", "orderings"],
+        ],
+    )
+    def test_same_outcome_as_two_level_parse(self, capsys, argv):
+        def outcome(call):
+            with pytest.raises(SystemExit) as exc:
+                call(argv)
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+
+        expected = outcome(cli.build_parser().parse_args)
+        assert outcome(cli.main) == expected
+        assert expected[1] or expected[2]
+
+    def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
+        expected = run(capsys, "gen", "fano")
+        monkeypatch.setattr(sys, "argv", ["hypestra", "gen", "fano"])
+        code = cli.main()
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+        assert expected[0] == 0 and expected[1]
 
 
 def _failing_report():
@@ -553,7 +589,7 @@ class TestVerifyFormats:
         "argv,message",
         [
             (("bounds", "--budget", "-3"), "need budget >= 1, got budget=-3"),
-            (("orderings", "--budget", "-1"), "ordering suites need a size budget >= 0, got -1"),
+            (("orderings", "--budget", "-1"), "no ordering instance fits a size budget of -1 at k=3"),
         ],
     )
     def test_negative_budget_exits_2(self, capsys, argv, message):

@@ -380,3 +380,29 @@ class TestGrammar:
         with pytest.raises(FamilyGrammarError) as exc:
             build_family(text)
         assert str(exc.value) == message
+
+
+class TestParameterErrors:
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: cycle(1, 3), "ring needs m >= 2 and k >= 2, got m=1, k=3"),
+            (lambda: cycle(3, 1), "ring needs m >= 2 and k >= 2, got m=3, k=1"),
+            (lambda: unicyclic_cm(3, [1]), "need at least 2 ring edges, got 1"),
+            (lambda: unicyclic_cm(3, [1, -1]), "pendant counts must be >= 0, got [1, -1]"),
+            (lambda: x_n(2, 3), "order 2 is too small for a ring with k=3"),
+            (lambda: hyperstar(3, 0), "hyperstar needs s >= 1 and k >= 2, got s=0, k=3"),
+            (lambda: hyperstar(1, 2), "hyperstar needs s >= 1 and k >= 2, got s=2, k=1"),
+            (lambda: g_star_star(2), "needs k >= 3, got 2"),
+            (lambda: random_uniform(3, 4, 1, random.Random(0)), "need 2 <= k <= n, got k=4, n=3"),
+            (lambda: random_uniform(3, 1, 1, random.Random(0)), "need 2 <= k <= n, got k=1, n=3"),
+            (lambda: unicyclic_catalog(1, 3), "need n_over >= 2, got 1"),
+            (lambda: unicyclic_catalog(3, 1), "need k >= 2, got 1"),
+        ],
+        ids=["ring-m", "ring-k", "cm-one-edge", "cm-negative", "xn-small", "star-s", "star-k",
+             "gss-k", "random-k-above-n", "random-k-1", "catalog-n-over", "catalog-k"],
+    )
+    def test_error_messages(self, call, message):
+        with pytest.raises(HypergraphError) as exc:
+            call()
+        assert (type(exc.value), str(exc.value)) == (HypergraphError, message)

@@ -422,3 +422,35 @@ class TestSerialization:
         with pytest.raises(ParseError) as exc:
             from_json(text)
         assert str(exc.value) == message
+
+
+_TWO_EDGES = Hypergraph(4, [(0, 1), (0, 1, 2)])
+
+
+class TestRejections:
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            (lambda: Hypergraph(-1, []), HypergraphError, "vertex count must be >= 0, got -1"),
+            (lambda: _TWO_EDGES.edge_index((1, 2)), HypergraphError, "edge (1, 2) not present"),
+            (lambda: extend_edge(_TWO_EDGES, 0, 4), HypergraphError, "vertex 4 outside 0..3"),
+            (lambda: extend_edge(_TWO_EDGES, 0, 1), HypergraphError, "vertex 1 already in edge (0, 1)"),
+            (
+                lambda: extend_edge(_TWO_EDGES, 0, 2),
+                DuplicateEdgeError,
+                "extending (0, 1) by 2 duplicates edge (0, 1, 2)",
+            ),
+            (lambda: from_text("3 4\n0 1\n"), ParseError, "line 1: first line must be the vertex count"),
+            (
+                lambda: from_json('{"n": 3, "edges": [[0, 5]]}'),
+                ParseError,
+                "edge (0, 5) uses a vertex outside 0..2",
+            ),
+        ],
+        ids=["negative-n", "missing-edge", "extend-outside", "extend-member", "extend-duplicate",
+             "text-two-counts", "json-vertex-outside"],
+    )
+    def test_error_messages(self, call, error, message):
+        with pytest.raises(HypergraphError) as exc:
+            call()
+        assert (type(exc.value), str(exc.value)) == (error, message)

@@ -659,3 +659,22 @@ class TestExports:
         assert payload["negative_count"] == 2
         assert payload["moments"][2] == pytest.approx(16.0)
         assert len(payload["eigenvalues"]) == 4
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda h: spectral_moment(spectrum_of(h), -1), "moment order must be >= 0, got -1"),
+            (lambda h: trace_power(adjacency(h), -1), "power must be >= 0, got -1"),
+            (lambda h: walk_count(h, 0, 1, -1), "walk length must be >= 0, got -1"),
+            (lambda h: walk_count(h, 0, 6, 2), "vertex 6 outside 0..5"),
+            (lambda h: walk_count(h, -1, 0, 2), "vertex -1 outside 0..5"),
+            (lambda h: closed_walk_table(h, 0), "s_max must be >= 1, got 0"),
+        ],
+        ids=["moment", "trace-power", "walk-length", "walk-end", "walk-start", "walk-table"],
+    )
+    def test_error_messages(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call(cycle(3, 3))
+        assert str(exc.value) == message

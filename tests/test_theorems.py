@@ -779,7 +779,7 @@ class TestOrderingSuites:
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_budget_below_k_plus_one_checks_nothing_and_raises(self, k):
-        for budget in (0, k):
+        for budget in (-1, 0, k):
             with pytest.raises(HypergraphError, match=f"size budget of {budget} at k={k}"):
                 verify_ordering_lemmas(k, budget)
         assert any(r.instances for r in verify_ordering_lemmas(k, k + 1))
@@ -1013,3 +1013,19 @@ class TestSerialization:
         lines = _cli(capsys, *argv).strip().split("\n")
         assert lines[0] == "lemma_id,left,right,ee_left,ee_right,gap,strict_holds"
         assert all(line.endswith(",true") for line in lines[1:])
+
+
+class TestSuiteParameterErrors:
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: verify_ordering_lemmas(2, 14), "ordering suites need k >= 3, got 2"),
+            (lambda: verify_extremal(2, 3), "extremal ranking needs n_over >= 3, got 2"),
+            (lambda: verify_extremal(4, 2), "extremal ranking needs k >= 3, got 2"),
+        ],
+        ids=["orderings-k", "extremal-n-over", "extremal-k"],
+    )
+    def test_error_messages(self, call, message):
+        with pytest.raises(HypergraphError) as exc:
+            call()
+        assert str(exc.value) == message

@@ -11,7 +11,7 @@ byte-identical over the corpus, so an output change shows up as a diff:
     PYTHONPATH=new/src python3 tools/cli_digest.py > new.txt
     diff old.txt new.txt
 
-The corpus (5,469 calls, about 4 s on one core):
+The corpus (5,481 calls, about 4 s on one core):
 
 - ``check`` in text, JSON and CSV, with ``--t 2|3`` and ``--k`` at the
   true k and k +- 1, ``check --variant theta-plus-one`` at the true k,
@@ -40,8 +40,12 @@ The corpus (5,469 calls, about 4 s on one core):
   1e400, or whose vertex is 0.5, and ``verify bounds|orderings`` with
   ``--budget -1``;
 - ``verify`` suites that would check nothing (``bounds --budget 0``, and
-  ``orderings --budget 0|k`` at k = 3 and 4), each suite given a flag of
-  another suite, and a flag placed before the suite name;
+  ``orderings --budget -1|0|k`` at k = 3 and 4) beside ``orderings
+  --budget k+1``, each suite given a flag of another suite, and a flag
+  placed before the suite name;
+- no arguments, ``-h``, an unknown command, a flag before the command,
+  ``check -h``, and arguments left over after ``check``, ``gen`` and
+  ``verify extremal``;
 - ``check`` (JSON at k = 2, text at k = 3) and ``spectrum`` on files with
   CRLF or lone-CR line ends (a CRLF JSON file among them with a syntax
   error on line 4), with a UTF-8 byte order mark, with vertices written
@@ -240,7 +244,7 @@ def corpus(rng: random.Random) -> list[list[str]]:
     # suites that would check nothing
     calls.append(["verify", "bounds", "--budget", "0"])
     for k in ("3", "4"):
-        for budget in ("0", k):
+        for budget in ("-1", "0", k, str(int(k) + 1)):
             calls.append(["verify", "orderings", "--k", k, "--budget", budget])
     # each suite with a flag of another suite, and a flag before the suite
     foreign = {
@@ -252,6 +256,11 @@ def corpus(rng: random.Random) -> list[list[str]]:
         for flag in flags:
             calls.append(["verify", suite, flag, THETA_PLUS_ONE if flag == "--variant" else "3"])
     calls.append(["verify", "--k", "3", "orderings"])
+    # argv that is no command name, a command's help, and arguments a command leaves over
+    calls += [[], ["-h"], ["frobnicate"], ["--k", "3", "check"], ["check", "-h"]]
+    calls.append(["check", "small.txt", "--k", "3", "--bogus", "x"])
+    calls.append(["gen", "fano", "extra"])
+    calls.append(["verify", "extremal", "extra", "--bogus"])
     for fmt in FORMATS:
         for k in (3, 4):
             calls.append(["verify", "orderings", "--k", str(k), "--budget", "16", "--format", fmt])
@@ -293,6 +302,7 @@ def digest(argv: list[str]) -> str:
 
 
 def main() -> int:
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text at the terminal's width
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
