@@ -236,13 +236,14 @@ def _json_inputs(inputs: dict) -> str:
 def _render_bound_reports(reports, fmt: str) -> str:
     if fmt == "json":
         # _json_text([vars(r) for r in reports]) from one layout in BoundReport's field order: each
-        # scalar through the writer's table for its field's type, the two dicts at their depth
-        text, real, truth = _JSON_SCALARS[str], _JSON_SCALARS[float], _JSON_SCALARS[bool]
+        # scalar as the writer's table writes its field's type, the two dicts at their depth
+        text, real = _JSON_SCALARS[str], _JSON_SCALARS[float]
         nested = "\n    "
         items = ",\n  ".join([
             f'{{\n    "bound_id": {text(r.bound_id)},\n    "lhs": {real(r.lhs)},'
             f'\n    "rhs": {real(r.rhs)},\n    "slack": {real(r.slack)},'
-            f'\n    "holds": {truth(r.holds)},\n    "equality": {truth(r.equality)},'
+            f'\n    "holds": {"true" if r.holds else "false"},'
+            f'\n    "equality": {"true" if r.equality else "false"},'
             f'\n    "inputs": {_json_inputs(r.inputs)},'
             f'\n    "extra": {_json_value(r.extra, nested)}\n  }}'
             for r in reports
@@ -484,6 +485,10 @@ def main(argv=None) -> int:
     if command is None:
         args = parser.parse_args(argv)
     else:
+        flag = argv[1] if argv[0] == "verify" and len(argv) > 1 else ""
+        if flag.startswith("-") and flag != "-h" and not "--help".startswith(flag):
+            # argparse would misread the word after such a flag as the suite name
+            command.error(f"{flag} comes before the suite name; suite flags go after it")
         # the command's own parser reads what the top-level parser would hand it
         args, extras = command.parse_known_args(argv[1:])
         if extras:

@@ -334,13 +334,13 @@ def from_json(text: str) -> Hypergraph:
         raise ParseError(f'"n" must be an integer, got {json.dumps(n)}')
     if type(edges) is not list or any(type(e) is not list for e in edges):
         raise ParseError('"edges" must be a list of vertex lists')
-    for edge in edges:
-        for v in edge:
-            if type(v) is not int:
-                raise ParseError(f"edge {json.dumps(edge)}: vertex {json.dumps(v)} is not an integer")
     try:
         return Hypergraph(n, edges)
     except HypergraphError as exc:
+        # the constructor refuses each vertex that is not an int; the first
+        # in file order is named as the file writes it, before any other fault
+        for edge, v in ((e, v) for e in edges for v in e if type(v) is not int):
+            raise ParseError(f"edge {json.dumps(edge)}: vertex {json.dumps(v)} is not an integer") from None
         raise ParseError(str(exc)) from None
 
 

@@ -213,13 +213,15 @@ def estrada_index(spectrum: Spectrum) -> float:
     exceeds double precision: once the leading eigenvalue is past what
     exp can take (~709), or when several large terms add up past it.
     """
-    total = math.inf
-    if spectrum.lambda1 <= _EXP_OVERFLOW:
-        total = float(sum(map(math.exp, spectrum.eigenvalues.tolist())))
+    return _estrada(spectrum.eigenvalues)
+
+
+def _estrada(eigenvalues: np.ndarray) -> float:
+    """``estrada_index`` of descending eigenvalues."""
+    values = eigenvalues.tolist()
+    total = math.inf if values and values[0] > _EXP_OVERFLOW else float(sum(map(math.exp, values)))
     if not math.isfinite(total):
-        raise OverflowError(
-            f"estrada index overflows double precision (lambda1={spectrum.lambda1:g})"
-        )
+        raise OverflowError(f"estrada index overflows double precision (lambda1={values[0]:g})")
     return total
 
 

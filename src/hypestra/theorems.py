@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .hypercore import (
 from .spectral import (
     Spectrum,
     _compare,
-    _solve,
+    _estrada,
     adjacency,
     as_symmetric,
     distinct_eigenvalues,
@@ -117,11 +117,18 @@ def _resolve_k(h: Hypergraph, k: int | None) -> int | None:
     return u
 
 
-def _sum_largest(bound_id, spectrum, theta, t, variant, rhs_of, inputs, extra) -> BoundReport:
-    """The sum of the t largest eigenvalues against rhs_of(theta, core)
+def _top_sum(eigenvalues, t: int, trace: float = 0) -> float:
+    """The sum of the t largest of the descending eigenvalues, whose sum is
+    ``trace``: for t > n/2 the trace less the n - t smallest, so t = n gives it exactly."""
+    if 2 * t <= len(eigenvalues):
+        return float(eigenvalues[:t].sum())
+    return trace - float(eigenvalues[t:].sum())
+
+
+def _sum_largest(bound_id, lhs, theta, t, variant, rhs_of, inputs, extra) -> BoundReport:
+    """lhs, the sum of the t largest eigenvalues, against rhs_of(theta, core)
     for both variants of core(theta, t), with theta the spectrum's
     negative count and core = (theta + sqrt(theta*(t*theta + t - 1))) / den."""
-    lhs = float(spectrum.eigenvalues[:t].sum())
     top = theta + math.sqrt(theta * (t * theta + t - 1))
     as_written = rhs_of(theta, top / (2 * theta + 1))
     plus_one = rhs_of(theta, top / (2 * (theta + 1)))
@@ -172,16 +179,19 @@ class _Facts:
 
     k = _fact(lambda f: _resolve_k(f.h, f.requested_k))
     spectrum = _fact(lambda f: spectrum_of(f.h))
+    matrix = _fact(lambda f: f.spectrum.matrix)
     theta = _fact(lambda f: negative_count(f.spectrum))
-    ee = _fact(lambda f: estrada_index(f.spectrum))
+    ee = _fact(lambda f: _estrada(f.spectrum.eigenvalues))
+    #: entry_counts[v] entries of A equal v, from 0 to A's largest entry
+    entry_counts = _fact(lambda f: np.bincount(f.matrix.ravel()).tolist())
     #: tr A^2, the sum of the squared entries of the symmetric A, in ints
-    moment2 = _fact(lambda f: sum([x * x for x in f.spectrum.matrix.ravel().tolist()]))
+    moment2 = _fact(lambda f: sum([v * v * c for v, c in enumerate(f.entry_counts)]))
     #: (k-1)m(m(k-2)+2), the upper bound on the second moment
     moment2_upper = _fact(lambda f: 0 if f.m == 0 else (f.k - 1) * f.m * (f.m * (f.k - 2) + 2))
     root = _fact(lambda f: math.sqrt(f.moment2_upper))
-    #: the spectrum of the k-uniform complement
-    complement = _fact(lambda f: eigendecompose(_complement_adjacency(f.spectrum.matrix, f.k)))
-    ee_complement = _fact(lambda f: estrada_index(f.complement))
+    #: the eigenvalues of the k-uniform complement, descending
+    complement = _fact(lambda f: eigendecompose(_complement_adjacency(f.matrix, f.k)).eigenvalues)
+    ee_complement = _fact(lambda f: _estrada(f.complement))
 
     @property
     def inputs(self) -> dict:
@@ -197,7 +207,7 @@ class _Facts:
         # with no negative eigenvalue the bound is 0, and k may be unknown
         return _sum_largest(
             "cor3.2-sum-largest",
-            self.spectrum,
+            _top_sum(self.spectrum.eigenvalues, t),
             self.theta,
             t,
             variant,
@@ -207,12 +217,12 @@ class _Facts:
         )
 
     def moment2_bounds(self) -> tuple[BoundReport, BoundReport]:
-        inputs, m2 = self.inputs, self.moment2
+        m2 = self.moment2
         lower = 0 if self.m == 0 else self.k * (self.k - 1) * self.m
         upper = self.moment2_upper
         return (
-            _report("thm2.12-moment-lower", lower, m2, "le", inputs, slack=m2 - lower),
-            _report("thm2.12-moment-upper", m2, upper, "le", inputs, slack=upper - m2),
+            _report("thm2.12-moment-lower", lower, m2, "le", self.inputs, slack=m2 - lower),
+            _report("thm2.12-moment-upper", m2, upper, "le", self.inputs, slack=upper - m2),
         )
 
     def ee_lower_spectral(self) -> BoundReport:
@@ -243,7 +253,7 @@ class _Facts:
         coarse = self.n - 1 + math.exp(e_total)
         return (
             _report("thm4.3-ee-upper-energy", lhs, refined, "le", inputs, {"energy": e_total}),
-            _report("rem4.4-ee-upper-energy", lhs, coarse, "le", inputs, {"energy": e_total}),
+            _report("rem4.4-ee-upper-energy", lhs, coarse, "le", self.inputs, {"energy": e_total}),
         )
 
     def nordhaus_gaddum(self) -> BoundReport:
@@ -276,17 +286,17 @@ def check_sum_t_largest_matrix(
         raise HypergraphError(f"need 2 <= t <= n, got t={t}, n={len(matrix)}")
     if spectrum is None:
         spectrum = eigendecompose(matrix)
-    return _entry_range(matrix, spectrum, negative_count(spectrum), t, variant)
+    # an exact int trace, or the correctly rounded sum of a float diagonal
+    lhs = _top_sum(spectrum.eigenvalues, t, math.fsum(matrix.diagonal().tolist()))
+    a, b = float(matrix.min()), float(matrix.max())
+    return _entry_range(len(matrix), a, b, lhs, negative_count(spectrum), t, variant)
 
 
-def _entry_range(matrix, spectrum, theta, t, variant) -> BoundReport:
-    """thm3.1 on a checked matrix and t, theta the spectrum's negative count."""
-    n = matrix.shape[0]
-    a = float(matrix.min())
-    b = float(matrix.max())
+def _entry_range(n, a, b, lhs, theta, t, variant) -> BoundReport:
+    """thm3.1 at a checked t: lhs and theta of an n x n matrix with entries in [a, b]."""
     report = _sum_largest(
         "thm3.1-sum-largest",
-        spectrum,
+        lhs,
         theta,
         t,
         variant,
@@ -474,7 +484,7 @@ def check_all_bounds(
     gives, and every bound reads the one fact set of h.
     """
     f = _Facts(h, k)
-    a = adjacency(h)
+    a = f.matrix = adjacency(h)
     stack, size = a[None].repeat(3, axis=0), 1
     # a complement that cannot be built is left for the complement-sum
     # bound to raise at its usual place, which comes before the probe is needed
@@ -484,17 +494,20 @@ def check_all_bounds(
             size = 2
     probe = _first_missing_edge(h, f.k) if size > 1 else None
     if probe is not None:
-        for x, y in permutations(probe, 2):
-            stack[2, x, y] += 1
+        grown = stack[2]
+        for x, y in combinations(probe, 2):
+            grown[x, y] = grown[y, x] = grown[x, y] + 1
         size = 3
-    # the stacked spectra stand in for the fact set's own solves
-    f.spectrum, *others = _solve(stack[:size])
-    if others:
-        f.complement = others[0]
-    # cor3.2 checks t first; thm3.1 then reads the library's own A unchecked
+    # one eigvalsh call stands in for the facts' own solves, as in _solve; ||A||_F^2 = tr A^2
+    values = np.linalg.eigvalsh(stack[:size])[:, ::-1].copy()
+    f.spectrum = Spectrum(values[0], a, math.sqrt(f.moment2))
+    if size > 1:
+        f.complement = values[1]
+    # cor3.2 checks t first; thm3.1 reads A unchecked: from 0 on its diagonal to its largest
+    cor = f.sum_largest(t, variant)
     reports = [
-        f.sum_largest(t, variant),
-        _entry_range(f.spectrum.matrix, f.spectrum, f.theta, t, variant),
+        cor,
+        _entry_range(f.n, 0.0, float(len(f.entry_counts) - 1), cor.lhs, f.theta, t, variant),
         *f.moment2_bounds(),
         f.ee_lower_spectral(),
         f.ee_lower_edges(),
@@ -503,7 +516,7 @@ def check_all_bounds(
         f.nordhaus_gaddum(),
     ]
     if probe is not None:
-        ee_grown = estrada_index(others[1])
+        ee_grown = _estrada(values[2])
         extra = {"added_edge": list(probe)}
         reports.append(_report("ee-monotonicity", f.ee, ee_grown, "le", f.inputs, extra))
     return sorted(reports, key=lambda r: r.bound_id)

@@ -243,7 +243,8 @@ def bound_facts(h: Hypergraph, k: int, t: int) -> dict:
     ``np.linalg.eigvalsh`` of float adjacency matrices built here pair by
     pair, eigenvalues descending.
 
-    ``sum_largest`` (of the t largest) and ``energy`` are numpy sums,
+    ``sum_largest`` (of the t largest; for t > n/2 the trace less the
+    n - t smallest, so 0.0 at t = n) and ``energy`` are numpy sums,
     ``theta`` counts the eigenvalues below -1e-9 * max(1, ||A||_F), and
     each Estrada index is a left-to-right sum of ``math.exp``: of A
     (``ee``), of the k-uniform complement (``ee_complement``) and of A with
@@ -256,7 +257,9 @@ def bound_facts(h: Hypergraph, k: int, t: int) -> dict:
     cut = -1e-9 * max(1.0, float(np.linalg.norm(a)))
     grown = _float_adjacency(h.n, [*h.edges, missing[0]]) if missing else None
     return {
-        "sum_largest": float(values[:t].sum()),
+        "sum_largest": (
+            float(values[:t].sum()) if 2 * t <= h.n else float(a.trace()) - float(values[t:].sum())
+        ),
         "energy": float(np.abs(values).sum()),
         "theta": int((values < cut).sum()),
         "ee": _exp_sum(values),

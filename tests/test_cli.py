@@ -414,11 +414,31 @@ class TestParser:
         assert captured.out == ""
         assert f"unrecognized arguments: {flag} {value}" in captured.err
 
-    def test_verify_flags_follow_the_suite(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--k", "3", "orderings"],
+            ["verify", "--format", "json", "bounds", "--budget", "2"],
+            ["verify", "--bogus", "extremal"],
+        ],
+    )
+    def test_verify_flags_follow_the_suite(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--k", "3", "orderings"])
+            cli.main(argv)
         assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"hypestra verify: error: {argv[1]} comes before the suite name; "
+            "suite flags go after it\n"
+        )
+
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+    def test_verify_help_before_the_suite(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hypestra verify")
 
     @pytest.mark.parametrize(
         "argv",
@@ -466,7 +486,6 @@ class TestParser:
             ["check", "h.txt", "--k", "3", "--bogus", "x"],
             ["gen", "fano", "extra"],
             ["verify", "extremal", "extra", "--bogus"],
-            ["verify", "--k", "3", "orderings"],
         ],
     )
     def test_same_outcome_as_two_level_parse(self, capsys, argv):
@@ -742,11 +761,24 @@ class TestJsonText:
                 {"claim": "le", "nested": {"a": [1, 2.5, None], "b": {}, "c": [math.nan]}},
             ),
         ]
+        # equal under ==, written differently: a writer that reuses the text
+        # of an equal value or block writes some of these wrong
+        nmkt = {"n": 1, "m": 1, "k": None, "t": None}
+        alike = [
+            BoundReport("ints", 0.0, 1.0, 1.0, True, False, nmkt, {"claim": "le", "theta": 1}),
+            BoundReport("bools", -0.0, 1.0, -0.0, True, True, {**nmkt, "n": True},
+                        {"claim": "le", "theta": True}),
+            BoundReport("floats", 0.0, -0.0, 0.0, False, False, {**nmkt, "m": 1.0, "k": -0.0},
+                        {"claim": "le", "theta": 1.0, "zeros": [0.0, -0.0, 0]}),
+            BoundReport("nans", math.nan, float("nan"), -0.0, False, False, {**nmkt, "t": math.nan},
+                        {"claim": "le", "ee": math.nan, "ee_complement": float("nan")}),
+            BoundReport("again", -0.0, 0.0, 1.0, True, False, dict(nmkt), {"claim": "le", "theta": 1}),
+        ]
         # the layout writes BoundReport's fields in order, so a field gained,
         # lost or moved fails here and in the comparisons below
         keys = re.findall(r'^    "(\w+)": ', cli._render_bound_reports(hand_built[:1], "json"), re.M)
         assert keys == [f.name for f in dataclasses.fields(BoundReport)]
-        batches = [[], hand_built]
+        batches = [[], hand_built, alike, alike[::-1]]
         batches += [check_all_bounds(h, None if h.m else 2) for h in criterion_3_sample() if h.n >= 2]
         for n in range(7, 16):
             full = list(combinations(range(n), 3))

@@ -88,6 +88,22 @@ class TestSumLargestMatrix:
         assert report.extra["tighter_variant"] == THETA_PLUS_ONE
         assert report.extra["tau_lhs"] == pytest.approx(report.lhs / 4)
 
+    def test_t_past_half_reads_the_trace(self):
+        # the n - t smallest are taken off the exact trace: at t = n the lhs
+        # is the trace itself, not a sum of rounded eigenvalues
+        rng = np.random.default_rng(8)
+        for n in range(2, 9):
+            m = rng.normal(size=(n, n))
+            m = m + m.T
+            ints = rng.integers(-5, 6, size=(n, n))
+            ints = ints + ints.T
+            for matrix, trace in ((m, math.fsum(m.diagonal())), (ints, float(ints.trace()))):
+                values = np.linalg.eigvalsh(matrix)[::-1]
+                for t in range(2, n + 1):
+                    lhs = check_sum_t_largest_matrix(matrix, t).lhs
+                    assert lhs == pytest.approx(float(values[:t].sum()), abs=1e-9), (n, t)
+                assert check_sum_t_largest_matrix(matrix, n).lhs == trace, n
+
     def test_t_out_of_range(self):
         with pytest.raises(ValueError):
             check_sum_t_largest_matrix(adjacency(cycle(2, 3)), 1)
@@ -424,6 +440,34 @@ class TestCheckAllBounds:
             for report in check_all_bounds(h, k):
                 assert report.holds, (h, report.bound_id)
 
+    def test_all_eigenvalues_sum_to_zero_under_any_labels(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(6, 12)
+            h = random_uniform(n, 3, rng.randint(1, min(math.comb(n, 3), 3 * n)), rng)
+            perm = rng.sample(range(n), n)
+            relabelled = Hypergraph(n, [[perm[v] for v in e] for e in h.edges])
+            for g in (h, relabelled):
+                for r in check_all_bounds(g, 3, t=n):
+                    if r.bound_id.endswith("-sum-largest"):
+                        assert r.lhs == 0.0 and math.copysign(1.0, r.lhs) == 1.0, (h, r.bound_id)
+                        assert r.slack == r.rhs, (h, r.bound_id)
+
+    def test_reports_share_no_dict(self):
+        for _, h, k in _check_instances():
+            try:
+                reports = check_all_bounds(h, k, t=min(3, h.n)) if h.n >= 2 else []
+            except OverflowError:
+                continue
+            for i, report in enumerate(reports):
+                for field in ("inputs", "extra"):
+                    before = [repr(vars(r)) for r in reports]
+                    getattr(report, field)["edited"] = True
+                    after = [repr(vars(r)) for r in reports]
+                    del getattr(report, field)["edited"]
+                    changed = [j for j, (a, b) in enumerate(zip(before, after)) if a != b]
+                    assert changed == [i], (h, report.bound_id, field)
+
     def test_deterministic(self):
         a = check_all_bounds(cycle(2, 3), 3)
         b = check_all_bounds(cycle(2, 3), 3)
@@ -549,7 +593,7 @@ class TestCheckAllBoundsFactsOnce:
             return wrapper
 
         monkeypatch.setattr(theorems, "uniformity", counted("k", hypercore.uniformity))
-        monkeypatch.setattr(theorems, "estrada_index", counted("ee", estrada_index))
+        monkeypatch.setattr(theorems, "_estrada", counted("ee", spectral._estrada))
         checked = 0
         for name, h, k in _check_instances():
             solved = 2 if _first_missing(h, k) is None else 3
@@ -613,8 +657,9 @@ class TestCheckAllBoundsFloor:
 class TestBoundFactsAgainstOracle:
     """The spectral facts in check_all_bounds' reports are bitwise those
     that tests/oracles.bound_facts reads off numpy's solver: numpy sums for
-    the t largest eigenvalues and the energy, a left-to-right exp sum for
-    each Estrada index.  At t >= 8 a sum in another order gives other bits."""
+    the t largest eigenvalues (for t > n/2, the trace less the n - t
+    smallest) and the energy, a left-to-right exp sum for each Estrada
+    index.  At t >= 8 a sum in another order gives other bits."""
 
     def test_bitwise_equal(self):
         checked = 0
